@@ -19,9 +19,7 @@ from .scorefn import (
     DenominatorNearZero,
     PoleProximity,
     JacobianMatrix,
-    ScoreEval,
     ScoreFunctionKind,
-    _is_margin_kind,
     _raw_f,
     _raw_fp,
     _row_pieces,

@@ -4,13 +4,29 @@ Tape-free graph style: each Tensor remembers its parents and a closure
 that routes its output adjoint back to them.  backward() topologically
 sorts the graph reachable from a scalar loss and runs the closures in
 reverse.  Everything is float64 and single-threaded per graph.
+Inside `no_grad()` ops record no graph, for forward passes that are
+never differentiated.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording parents or backward closures."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _unbroadcast(grad, shape):
@@ -48,23 +64,27 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _track(self, *parents):
-        return any(p.requires_grad or p._parents for p in parents)
+        return _grad_enabled and any(p.requires_grad or p._parents
+                                     for p in parents)
 
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        # Depth-first post-order over the parents, with an explicit stack
+        # so deep graphs do not hit the recursion limit.
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(t)
         grads = {id(self): np.ones_like(self.data)}
         for t in reversed(order):
             g = grads.pop(id(t), None)
@@ -181,14 +201,15 @@ class Tensor:
         """tanh-approximation GELU."""
         c = math.sqrt(2.0 / math.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x ** 3)
+        x2 = x * x
+        inner = c * (x + 0.044715 * (x2 * x))
         t = np.tanh(inner)
         out = Tensor(0.5 * x * (1.0 + t))
         if self._track(self):
             out._parents = (self,)
 
             def back(g):
-                dinner = c * (1.0 + 3.0 * 0.044715 * x ** 2)
+                dinner = c * (1.0 + 3.0 * 0.044715 * x2)
                 d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
                 return ((self, g * d),)
 
@@ -221,12 +242,13 @@ def cross_entropy(logits, labels):
     b = labels.shape[0]
     picked_data = logp.data[np.arange(b), labels]
     out = Tensor(-picked_data.mean())
-    out._parents = (logp,)
+    if logp._track(logp):
+        out._parents = (logp,)
 
-    def back(g):
-        gl = np.zeros_like(logp.data)
-        gl[np.arange(b), labels] = -g / b
-        return ((logp, gl),)
+        def back(g):
+            gl = np.zeros_like(logp.data)
+            gl[np.arange(b), labels] = -g / b
+            return ((logp, gl),)
 
-    out._backward = back
+        out._backward = back
     return out

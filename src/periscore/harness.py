@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as tinynn
-from .autodiff import cross_entropy
+from .autodiff import cross_entropy, no_grad
 from .model import BreakdownSignal, DemoConfig, GradientTapRecord
 
 GRAD_RUNAWAY_NORM = 1e6
@@ -175,37 +174,85 @@ def build_dataset(spec, seed):
 # -- optimizers --------------------------------------------------------
 
 
-class Adam:
-    def __init__(self, params, spec):
+class _FlatParams:
+    """All parameters in one float64 buffer, so an optimizer step is a few
+    whole-buffer numpy calls instead of several per parameter.
+
+    Construction copies each parameter into `flat` and rebinds its `data`
+    to a view of it; the step then updates `flat` in place.  The
+    elementwise arithmetic is the same as per parameter, so results are
+    bitwise equal.
+    """
+
+    def __init__(self, params):
         self.params = params
+        self.flat = np.empty(sum(p.data.size for p in params))
+        self.grad = np.empty_like(self.flat)
+        self.tmp = np.empty_like(self.flat)
+        self._grad_views = []
+        off = 0
+        for p in params:
+            n = p.data.size
+            view = self.flat[off:off + n].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._grad_views.append(self.grad[off:off + n].reshape(view.shape))
+            off += n
+
+    def gather_grads(self):
+        """Copy every p.grad into `grad` (zeros where it is None)."""
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+        return self.grad
+
+
+class Adam(_FlatParams):
+    def __init__(self, params, spec):
+        super().__init__(params)
         self.spec = spec
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.vhat = np.empty_like(self.flat)
         self.t = 0
 
     def step(self):
         s = self.spec
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = s.beta1 * self.m[i] + (1 - s.beta1) * g
-            self.v[i] = s.beta2 * self.v[i] + (1 - s.beta2) * g * g
-            mhat = self.m[i] / (1 - s.beta1 ** self.t)
-            vhat = self.v[i] / (1 - s.beta2 ** self.t)
-            p.data = p.data - s.lr * mhat / (np.sqrt(vhat) + 1e-8)
+        g = self.gather_grads()
+        m, v, mhat, vhat = self.m, self.v, self.tmp, self.vhat
+        # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        m *= s.beta1
+        np.multiply(1 - s.beta1, g, out=mhat)
+        m += mhat
+        v *= s.beta2
+        np.multiply(1 - s.beta2, g, out=vhat)
+        vhat *= g
+        v += vhat
+        # p -= lr * mhat / (sqrt(vhat) + 1e-8)
+        np.divide(m, 1 - s.beta1 ** self.t, out=mhat)
+        np.divide(v, 1 - s.beta2 ** self.t, out=vhat)
+        np.sqrt(vhat, out=vhat)
+        vhat += 1e-8
+        mhat *= s.lr
+        mhat /= vhat
+        self.flat -= mhat
 
 
-class Sgd:
+class Sgd(_FlatParams):
     def __init__(self, params, spec):
-        self.params = params
+        super().__init__(params)
         self.spec = spec
-        self.buf = [np.zeros_like(p.data) for p in params]
+        self.buf = np.zeros_like(self.flat)
 
     def step(self):
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.buf[i] = self.spec.momentum * self.buf[i] + g
-            p.data = p.data - self.spec.lr * self.buf[i]
+        # buf = momentum*buf + g;  p -= lr*buf
+        self.buf *= self.spec.momentum
+        self.buf += self.gather_grads()
+        np.multiply(self.spec.lr, self.buf, out=self.tmp)
+        self.flat -= self.tmp
 
 
 def _make_optimizer(params, spec):
@@ -221,10 +268,11 @@ def _make_optimizer(params, spec):
 
 def _eval_accuracy(model, data, idx, batch=64):
     correct = 0
-    for start in range(0, idx.size, batch):
-        sel = idx[start:start + batch]
-        logits = model.forward(data.images[sel]).data
-        correct += int((logits.argmax(axis=1) == data.labels[sel]).sum())
+    with no_grad():
+        for start in range(0, idx.size, batch):
+            sel = idx[start:start + batch]
+            logits = model.forward(data.images[sel]).data
+            correct += int((logits.argmax(axis=1) == data.labels[sel]).sum())
     return correct / idx.size if idx.size else float("nan")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, no_grad, parameter
 from .analysis import EPS_VAR, DegenerateRow
 from .scorefn import (
     EPS_DEN,
@@ -90,22 +90,41 @@ class GradientTapRecord:
 _SIREN_FLOOR = 1e-30
 
 
-def _siren_f(x):
-    s = np.sin(x)
+def _siren_f(s):
+    """Siren-max f from s = sin(x)."""
     return (1.0 + s) / np.maximum(2.0 - 2.0 * s, 2.0 * _SIREN_FLOOR)
 
 
-def _siren_fp(x):
-    s = np.sin(x)
+def _siren_fp(x, s):
+    """Siren-max f' at x, given s = sin(x)."""
     return np.cos(x) / np.maximum(1.0 - s, _SIREN_FLOOR) ** 2
 
 
 def _train_f(kind, x):
-    return _siren_f(x) if kind.tag == "siren-max" else _raw_f(kind, x)
+    """f(x) on the training path, from scratch (the reference for
+    _f_and_fp)."""
+    return _siren_f(np.sin(x)) if kind.tag == "siren-max" \
+        else _raw_f(kind, x)
 
 
 def _train_fp(kind, x):
-    return _siren_fp(x) if kind.tag == "siren-max" else _raw_fp(kind, x)
+    """f'(x) on the training path, from scratch (the reference for
+    _f_and_fp)."""
+    return _siren_fp(x, np.sin(x)) if kind.tag == "siren-max" \
+        else _raw_fp(kind, x)
+
+
+def _f_and_fp(kind, x):
+    """_train_f(kind, x), and a thunk for _train_fp(kind, x) that reuses
+    the forward intermediates: sin(x) for siren-max, exp(sin(x)) for
+    sin-softmax.  Values are bitwise those of _train_f and _train_fp."""
+    if kind.tag == "siren-max":
+        s = np.sin(x)
+        return _siren_f(s), lambda: _siren_fp(x, s)
+    num = _raw_f(kind, x)
+    if kind.tag == "sin-softmax":
+        return num, lambda: num * np.cos(x)
+    return num, lambda: _raw_fp(kind, x)
 
 
 def score_rows(t, kind, tap_sink=None):
@@ -121,25 +140,28 @@ def score_rows(t, kind, tap_sink=None):
     x = t.data
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite score-function input")
-    num = _train_f(kind, x)
-    off = _train_f(_off_kind(kind), x) if _is_margin_kind(kind) else num
+    num, fp = _f_and_fp(kind, x)
+    margin = _is_margin_kind(kind)
+    off = _raw_f(_off_kind(kind), x) if margin else num
     denom = off.sum(axis=-1, keepdims=True) - off + num
     if np.any(np.abs(denom) < EPS_DEN):
         raise DenominatorNearZero("score denominator near zero")
-    s = num / denom
-    out = Tensor(s)
-    out._parents = (t,)
+    out = Tensor(num / denom)
+    if not t._track(t):
+        return out
 
     def back(g):
-        nump = _train_fp(kind, x)
-        offp = _train_fp(_off_kind(kind), x) if _is_margin_kind(kind) else nump
-        a = (g * num / denom ** 2).sum(axis=-1, keepdims=True)
-        gx = g * nump * (denom - num) / denom ** 2 \
-            - offp * (a - g * num / denom ** 2)
+        nump = fp()
+        offp = _raw_fp(_off_kind(kind), x) if margin else nump
+        denom2 = denom ** 2
+        gnum = g * num / denom2
+        a = gnum.sum(axis=-1, keepdims=True)
+        gx = g * nump * (denom - num) / denom2 - offp * (a - gnum)
         if tap_sink is not None:
             tap_sink(x.ravel(), gx.ravel())
         return ((t, gx),)
 
+    out._parents = (t,)
     out._backward = back
     return out
 
@@ -154,13 +176,15 @@ def normalize_rows(t):
     sigma = np.sqrt(var)
     z = (x - mu) / sigma
     out = Tensor(z)
-    out._parents = (t,)
+    if not t._track(t):
+        return out
 
     def back(g):
         gz = (g - g.mean(axis=-1, keepdims=True)
               - z * (g * z).mean(axis=-1, keepdims=True)) / sigma
         return ((t, gz),)
 
+    out._parents = (t,)
     out._backward = back
     return out
 
@@ -216,7 +240,7 @@ class AttentionBlock:
             s = score_rows(raw, cfg.score_kind, tap_sink=self._tap_sink)
         except (ScoreError, DegenerateRow) as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
-        self.last_scores = s.data.copy()
+        self.last_scores = s.data  # fresh array, never written in place
         out = (s @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
         return out @ self.wo + self.bo
 
@@ -341,7 +365,8 @@ def attention_forward(cfg, tokens, params_seed=0):
 def export_attention(model, image):
     """Head-averaged per-layer score matrices for one input image."""
     image = np.asarray(image, dtype=np.float64)
-    model.forward(image[None, ...])
+    with no_grad():
+        model.forward(image[None, ...])
     return [attn.last_scores[0].mean(axis=0) for attn, _ in model.blocks]
 
 

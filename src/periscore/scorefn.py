@@ -11,7 +11,7 @@ Everything here is a pure function of its arguments, computed in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

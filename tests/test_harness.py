@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+from periscore.autodiff import Tensor, parameter
 from periscore.harness import (
+    Adam,
     AdamSpec,
     Breakdown,
     Cifar100Spec,
     CifarFormatError,
+    Dataset,
     GradientHistogram,
+    Sgd,
     SgdSpec,
     StepRecord,
     SyntheticSpec,
     TrainConfig,
     TrainRunLog,
+    _eval_accuracy,
     aggregate_taps,
     build_dataset,
     load_cifar100,
@@ -25,7 +30,13 @@ from periscore.harness import (
     write_run_log,
     write_taps,
 )
-from periscore.model import AttentionConfig, DemoConfig, GradientTapRecord
+from periscore.model import (
+    AttentionConfig,
+    BreakdownSignal,
+    DemoConfig,
+    DemoModel,
+    GradientTapRecord,
+)
 from periscore.scorefn import SIN_MAX, SOFTMAX
 
 
@@ -112,6 +123,86 @@ def test_build_dataset_dispatch(tmp_path):
     _write_cifar(path, 2)
     spec = Cifar100Spec(path=str(path), subset_size=2)
     assert build_dataset(spec, seed=0).images.shape == (2, 32, 32, 3)
+
+
+# -- optimizers --------------------------------------------------------
+
+
+def _reference_adam(datas, grads_per_step, spec):
+    """Adam one parameter at a time, as a list of separate arrays."""
+    m = [np.zeros_like(d) for d in datas]
+    v = [np.zeros_like(d) for d in datas]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, g in enumerate(grads):
+            g = g if g is not None else np.zeros_like(datas[i])
+            m[i] = spec.beta1 * m[i] + (1 - spec.beta1) * g
+            v[i] = spec.beta2 * v[i] + (1 - spec.beta2) * g * g
+            mhat = m[i] / (1 - spec.beta1 ** t)
+            vhat = v[i] / (1 - spec.beta2 ** t)
+            datas[i] = datas[i] - spec.lr * mhat / (np.sqrt(vhat) + 1e-8)
+    return datas
+
+
+def _reference_sgd(datas, grads_per_step, spec):
+    buf = [np.zeros_like(d) for d in datas]
+    for grads in grads_per_step:
+        for i, g in enumerate(grads):
+            g = g if g is not None else np.zeros_like(datas[i])
+            buf[i] = spec.momentum * buf[i] + g
+            datas[i] = datas[i] - spec.lr * buf[i]
+    return datas
+
+
+@pytest.mark.parametrize("opt_cls, spec, reference", [
+    (Adam, AdamSpec(lr=1e-2), _reference_adam),
+    (Sgd, SgdSpec(lr=1e-2, momentum=0.9), _reference_sgd),
+], ids=["adam", "sgd"])
+def test_flat_optimizer_matches_per_parameter_reference(opt_cls, spec,
+                                                        reference):
+    rng = _rng(20)
+    shapes = [(4, 3), (3,), (2, 5), (5,)]
+    # Small parameters next to lr-sized updates, so the last bits of each
+    # update reach the parameters instead of rounding away.
+    inits = [1e-3 * rng.normal(size=s) for s in shapes]
+    params = [parameter(d.copy()) for d in inits]
+    # The third parameter never gets a gradient, as when a graph does
+    # not reach it.
+    grads_per_step = [[rng.normal(size=s) if i != 2 else None
+                       for i, s in enumerate(shapes)] for _ in range(4)]
+    opt = opt_cls(params, spec)
+    for grads in grads_per_step:
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+    want = reference([d.copy() for d in inits], grads_per_step, spec)
+    for p, w, d in zip(params, want, inits):
+        assert p.data.shape == d.shape
+        assert np.array_equal(p.data, w)
+    # A zero gradient leaves its parameter where it started.
+    assert np.array_equal(params[2].data, inits[2])
+
+
+# -- evaluation --------------------------------------------------------
+
+
+def _tracking_on():
+    return bool((parameter(np.ones(2)) * Tensor(np.ones(2)))._parents)
+
+
+def test_eval_accuracy_restores_tracking():
+    cfg = _config()
+    model = DemoModel(cfg.demo, seed=1)
+    data = build_dataset(cfg.dataset, seed=1)
+    acc = _eval_accuracy(model, data, data.eval_idx)
+    assert 0.0 <= acc <= 1.0
+    assert _tracking_on()
+
+    bad = Dataset(images=np.full((4, 8, 8, 1), np.nan),
+                  labels=np.zeros(4, dtype=np.int64),
+                  train_idx=np.arange(2), eval_idx=np.arange(2, 4))
+    with pytest.raises(BreakdownSignal):
+        _eval_accuracy(model, bad, bad.eval_idx)
+    assert _tracking_on()
 
 
 # -- training loop -----------------------------------------------------

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from periscore.autodiff import Tensor, cross_entropy, parameter
+from periscore.autodiff import Tensor, cross_entropy, no_grad, parameter
 from periscore.model import (
     AttentionConfig,
     BreakdownSignal,
     DemoConfig,
+    _train_f,
+    _train_fp,
     attention_forward,
     build_demo,
     export_attention,
@@ -19,10 +21,13 @@ from periscore.model import (
 )
 from periscore.analysis import row_normalize_jacobian
 from periscore.scorefn import (
+    ALL_KINDS,
     SIN_MAX,
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
+    _is_margin_kind,
+    _off_kind,
     jacobian,
 )
 
@@ -118,6 +123,28 @@ def test_gradient_accumulates_across_backward_calls():
     np.testing.assert_allclose(a.grad, 2 * first)
 
 
+def test_backward_through_a_deep_chain():
+    x = parameter(np.array([1.5, -2.0]))
+    y = x
+    for _ in range(5000):
+        y = y * 1.0
+    y.sum().backward()
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+def test_no_grad_records_no_graph():
+    model = build_demo(_demo_config(kind=SIN_SOFTMAX, prenorm=True), seed=2)
+    images = _rng(16).normal(size=(2, 8, 8, 1))
+    with no_grad():
+        logits = model.forward(images)
+        loss = cross_entropy(logits, np.array([0, 1]))
+    assert logits._parents == () and logits._backward is None
+    assert loss._parents == () and loss._backward is None
+    tracked = model.forward(images)
+    assert tracked._parents
+    np.testing.assert_array_equal(logits.data, tracked.data)
+
+
 def test_values_property_is_flat():
     t = Tensor(np.arange(6.0).reshape(2, 3))
     np.testing.assert_array_equal(t.values, np.arange(6.0))
@@ -147,6 +174,36 @@ def test_score_rows_backward_matches_jacobian(kind):
     for i in range(2):
         want = g[i] @ jacobian(kind, x[i]).entries
         np.testing.assert_allclose(t.grad[i], want, atol=1e-10)
+
+
+def _reference_score_vjp(kind, x, g):
+    """score_rows' vector-Jacobian product from _train_f/_train_fp."""
+    num = _train_f(kind, x)
+    nump = _train_fp(kind, x)
+    if _is_margin_kind(kind):
+        off, offp = _train_f(_off_kind(kind), x), _train_fp(_off_kind(kind), x)
+    else:
+        off, offp = num, nump
+    denom = off.sum(axis=-1, keepdims=True) - off + num
+    a = (g * num / denom ** 2).sum(axis=-1, keepdims=True)
+    return g * nump * (denom - num) / denom ** 2 \
+        - offp * (a - g * num / denom ** 2)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+def test_score_rows_backward_is_bitwise_the_reference(kind):
+    # Inputs in (0.1, 1.2) keep sin and cos positive, so no guard fires.
+    x = _rng(17).uniform(0.1, 1.2, size=(2, 3, 6))
+    g = _rng(18).normal(size=x.shape)
+    tapped = []
+    t = parameter(x)
+    out = score_rows(t, kind, tap_sink=lambda xs, gs: tapped.append((xs, gs)))
+    (out * Tensor(g)).sum().backward()
+    want = _reference_score_vjp(kind, x, g)
+    assert np.array_equal(t.grad, want)
+    [(xs, gs)] = tapped
+    assert np.array_equal(xs, x.ravel())
+    assert np.array_equal(gs, want.ravel())
 
 
 def test_score_rows_siren_survives_the_pole():
