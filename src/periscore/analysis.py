@@ -16,13 +16,13 @@ import numpy as np
 
 from .scorefn import (
     EPS_DEN,
+    SIN_MAX_CONSTANT,
     DenominatorNearZero,
-    PoleProximity,
     JacobianMatrix,
+    PoleProximity,
     ScoreFunctionKind,
-    _raw_f,
-    _raw_fp,
-    _row_pieces,
+    ScoreRows,
+    f_and_fp,
     jacobian,
     pole_mask,
     scores,
@@ -95,14 +95,12 @@ def diag_gradient_fixed_m(kind, m, x):
     as NaN so curves can carry gaps instead of raising.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, np.nan)
     ok = ~pole_mask(kind, x)
-    f = np.where(ok, _raw_f(kind, np.where(ok, x, 0.0)), np.nan)
-    fp = np.where(ok, _raw_fp(kind, np.where(ok, x, 0.0)), np.nan)
+    f, fp = f_and_fp(kind, np.where(ok, x, 0.0))
     denom = m + f
     ok &= np.abs(denom) >= EPS_DEN
-    np.divide(m * fp, denom ** 2, out=out, where=ok)
-    out[~ok] = np.nan
+    out = np.full(x.shape, np.nan)
+    np.divide(m * fp(), denom ** 2, out=out, where=ok)
     return out
 
 
@@ -138,10 +136,15 @@ def extreme_diag_gradient(kind, m, mode="abs", x_range=GRID_RANGE,
     if not np.any(np.isfinite(ys)):
         return float("nan")
     if mode == "abs":
-        vmax = extreme_diag_gradient(kind, m, "max", x_range, step)
-        vmin = extreme_diag_gradient(kind, m, "min", x_range, step)
+        vmax = _refine_extremum(kind, m, xs, ys, 1.0)
+        vmin = _refine_extremum(kind, m, xs, ys, -1.0)
         return vmax if abs(vmax) >= abs(vmin) else vmin
     sign = 1.0 if mode == "max" else -1.0
+    return _refine_extremum(kind, m, xs, ys, sign)
+
+
+def _refine_extremum(kind, m, xs, ys, sign):
+    """Golden-section refinement of the grid's largest sign * ys."""
 
     def obj(x):
         y = float(diag_gradient_fixed_m(kind, m, np.array([x]))[0])
@@ -218,25 +221,15 @@ def sinmax_constant_expected_gradient(d, x_j):
 
 
 def _diag_entries_rows(kind, rows):
-    """Diagonal Jacobian entries per row; returns (entries, skipped_rows).
+    """Diagonal Jacobian entries of (n, d) rows, flat in row order;
+    returns (entries, skipped_rows).
 
-    Rows hitting a guard are dropped whole.
+    Rows hitting a guard (a pole, a near-zero denominator) are dropped
+    whole.
     """
-    entries = []
-    skipped = 0
-    for row in rows:
-        if np.any(pole_mask(kind, row)):
-            skipped += 1
-            continue
-        num, off, denom = _row_pieces(kind, row)
-        if np.any(np.abs(denom) < EPS_DEN):
-            skipped += 1
-            continue
-        nump = _raw_fp(kind, row)
-        entries.append((denom - num) * nump / denom ** 2)
-    if entries:
-        return np.concatenate(entries), skipped
-    return np.empty(0), skipped
+    terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)])
+    live = ~(np.abs(terms.denom) < EPS_DEN).any(axis=-1)
+    return terms.diag()[live].ravel(), len(rows) - int(live.sum())
 
 
 def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
@@ -262,6 +255,18 @@ def gradient_curve(kind, m, x_min, x_max, steps):
     return CurveSeries(x_values=xs, y_values=ys,
                        label=f"{kind.tag} diagonal gradient",
                        params={"M": m, "nan_points": int(np.isnan(ys).sum())})
+
+
+def prenorm_gradient_curve(kind, m, x_min, x_max, steps, d, var):
+    """Fixed-M gradient of kind(norm(x)) with the whitening held at
+    mean 0 and the given variance and row dimension."""
+    xs = np.linspace(x_min, x_max, steps)
+    sigma = math.sqrt(var)
+    ys = diag_gradient_fixed_m(kind, m, xs / sigma) * (d - 1) / (d * sigma)
+    return CurveSeries(x_values=xs, y_values=ys,
+                       label=f"prenormalized {kind.tag} diagonal gradient",
+                       params={"M": m, "d": d, "var": var,
+                               "nan_points": int(np.isnan(ys).sum())})
 
 
 def extremum_vs_m_curve(kind, m_values):
@@ -300,7 +305,7 @@ def row_normalize_jacobian(x):
     d = x.size
     sigma = math.sqrt(float(np.var(x)))
     entries = (np.eye(d) - np.ones((d, d)) / d - np.outer(z, z) / d) / sigma
-    return JacobianMatrix(entries=entries, dim=d)
+    return JacobianMatrix(entries=entries)
 
 
 def prenormed_scores(kind, x):
@@ -313,7 +318,7 @@ def prenormed_jacobian(kind, x):
     z = row_normalize(x)
     jn = row_normalize_jacobian(x)
     js = jacobian(kind, z)
-    return JacobianMatrix(entries=js.entries @ jn.entries, dim=len(z))
+    return JacobianMatrix(entries=js.entries @ jn.entries)
 
 
 def submersion_curve(d_values, trials=1000, seed=7):
@@ -321,7 +326,6 @@ def submersion_curve(d_values, trials=1000, seed=7):
 
     Quantifies how the constant term drowns inter-element differences.
     """
-    from .scorefn import SIN_MAX_CONSTANT
     ys = []
     for d in d_values:
         rows = _rng(seed).normal(0.0, 1.0, size=(trials, d))

@@ -53,11 +53,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def values(self):
-        """Flat row-major view of the data."""
-        return self.data.ravel()
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -51,8 +51,9 @@ def cmd_curves(args):
         print("error: --x-min must be < --x-max", file=sys.stderr)
         return 1
     if args.prenorm:
-        curve = analysis_prenorm_curve(kind, args.m, args.x_min, args.x_max,
-                                       args.steps, args.dim, args.var)
+        curve = analysis.prenorm_gradient_curve(
+            kind, args.m, args.x_min, args.x_max, args.steps, args.dim,
+            args.var)
     else:
         curve = analysis.gradient_curve(kind, args.m, args.x_min, args.x_max,
                                         args.steps)
@@ -62,20 +63,6 @@ def cmd_curves(args):
     curve.to_csv(args.out)
     print(f"wrote {args.steps} points to {args.out}")
     return 0
-
-
-def analysis_prenorm_curve(kind, m, x_min, x_max, steps, d, var):
-    """Fixed-M gradient of kind(norm(x)) with the whitening held at
-    mean 0 and the given variance and row dimension."""
-    xs = np.linspace(x_min, x_max, steps)
-    sigma = math.sqrt(var)
-    zs = xs / sigma
-    ys = analysis.diag_gradient_fixed_m(kind, m, zs) * (d - 1) / (d * sigma)
-    return analysis.CurveSeries(
-        x_values=xs, y_values=ys,
-        label=f"prenormalized {kind.tag} diagonal gradient",
-        params={"M": m, "d": d, "var": var,
-                "nan_points": int(np.isnan(ys).sum())})
 
 
 def cmd_gradcheck(args):

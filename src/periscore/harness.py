@@ -1,8 +1,8 @@
 """Training harness: datasets, the loop, breakdown detection, tap binning.
 
-Breakdowns (non-finite loss, a score-function guard firing inside a
-block, or sustained gradient-norm runaway) end the run early and are
-recorded as results, not raised as failures.
+Breakdowns (non-finite loss, non-finite gradient, a score-function
+guard firing inside a block, or sustained gradient-norm runaway) end the
+run early and are recorded as results, not raised as failures.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class StepRecord:
 @dataclass
 class Breakdown:
     step: int
-    cause: str  # NonFiniteLoss | ScoreError | GradNormRunaway
+    # NonFiniteLoss | NonFiniteGrad | ScoreError | GradNormRunaway
+    cause: str
 
 
 @dataclass
@@ -313,7 +314,7 @@ def train(cfg):
                 grad_sq += float((p.grad * p.grad).sum())
         grad_norm = math.sqrt(grad_sq)
         if not math.isfinite(grad_norm):
-            log.breakdown = Breakdown(step=step, cause="NonFiniteLoss")
+            log.breakdown = Breakdown(step=step, cause="NonFiniteGrad")
             return log
         acc = float((logits.data.argmax(axis=1) == data.labels[sel]).mean())
         log.records.append(StepRecord(step=step, loss=loss_val,
@@ -413,14 +414,19 @@ def write_taps(taps, path):
 
 
 def read_taps(path):
+    """Parse a taps sidecar; a malformed line raises ValueError."""
     taps = []
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            taps.append(GradientTapRecord(
-                step=obj["step"], layer_index=obj["layer"],
-                samples=[tuple(s) for s in obj["samples"]],
-                sample_cap=obj["cap"]))
+        for n, line in enumerate(fh, 1):
+            try:
+                obj = json.loads(line)
+                taps.append(GradientTapRecord(
+                    step=obj["step"], layer_index=obj["layer"],
+                    samples=[(float(x), float(g)) for x, g in obj["samples"]],
+                    sample_cap=obj["cap"]))
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{path} line {n}: not a tap record "
+                                 f"({type(err).__name__}: {err})") from None
     return taps
 
 

@@ -10,23 +10,13 @@ kinds, optionally pre-normalized row-wise, and gradient taps can record
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad, parameter
 from .analysis import EPS_VAR, DegenerateRow
-from .scorefn import (
-    EPS_DEN,
-    DenominatorNearZero,
-    NonFiniteInput,
-    ScoreError,
-    ScoreFunctionKind,
-    _is_margin_kind,
-    _off_kind,
-    _raw_f,
-    _raw_fp,
-)
+from .scorefn import ScoreError, ScoreFunctionKind, ScoreRows
 
 
 class BreakdownSignal(RuntimeError):
@@ -77,54 +67,9 @@ class GradientTapRecord:
     layer_index: int
     samples: list  # of (input value, dL/d(input)) pairs
     sample_cap: int
-    flat_indices: list = field(default_factory=list)
 
 
 # -- differentiable row ops -------------------------------------------
-
-
-# Smallest 1 - sin(x) treated as distinct from the pole itself.  The
-# normalized siren-max score is a smooth rational function of sin(x)
-# right through sin(x) = 1, so the training path evaluates it directly;
-# this floor only stops the literal 0-divide when sin(x) rounds to 1.0.
-_SIREN_FLOOR = 1e-30
-
-
-def _siren_f(s):
-    """Siren-max f from s = sin(x)."""
-    return (1.0 + s) / np.maximum(2.0 - 2.0 * s, 2.0 * _SIREN_FLOOR)
-
-
-def _siren_fp(x, s):
-    """Siren-max f' at x, given s = sin(x)."""
-    return np.cos(x) / np.maximum(1.0 - s, _SIREN_FLOOR) ** 2
-
-
-def _train_f(kind, x):
-    """f(x) on the training path, from scratch (the reference for
-    _f_and_fp)."""
-    return _siren_f(np.sin(x)) if kind.tag == "siren-max" \
-        else _raw_f(kind, x)
-
-
-def _train_fp(kind, x):
-    """f'(x) on the training path, from scratch (the reference for
-    _f_and_fp)."""
-    return _siren_fp(x, np.sin(x)) if kind.tag == "siren-max" \
-        else _raw_fp(kind, x)
-
-
-def _f_and_fp(kind, x):
-    """_train_f(kind, x), and a thunk for _train_fp(kind, x) that reuses
-    the forward intermediates: sin(x) for siren-max, exp(sin(x)) for
-    sin-softmax.  Values are bitwise those of _train_f and _train_fp."""
-    if kind.tag == "siren-max":
-        s = np.sin(x)
-        return _siren_f(s), lambda: _siren_fp(x, s)
-    num = _raw_f(kind, x)
-    if kind.tag == "sin-softmax":
-        return num, lambda: num * np.cos(x)
-    return num, lambda: _raw_fp(kind, x)
 
 
 def score_rows(t, kind, tap_sink=None):
@@ -132,31 +77,19 @@ def score_rows(t, kind, tap_sink=None):
 
     Guard violations raise the usual ScoreError subclasses at forward
     time.  Unlike the scalar kernels, siren-max is evaluated through its
-    pole (see _SIREN_FLOOR): the normalized score and its gradient stay
-    finite and smooth there, so training need not abort.  tap_sink, when
-    given, is called during backward with the flat (inputs, gradients)
-    arrays of this call site.
+    pole (ScoreRows with pole="through"): the normalized score and its
+    gradient stay finite and smooth there, so training need not abort.
+    tap_sink, when given, is called during backward with the flat
+    (inputs, gradients) arrays of this call site.
     """
     x = t.data
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("non-finite score-function input")
-    num, fp = _f_and_fp(kind, x)
-    margin = _is_margin_kind(kind)
-    off = _raw_f(_off_kind(kind), x) if margin else num
-    denom = off.sum(axis=-1, keepdims=True) - off + num
-    if np.any(np.abs(denom) < EPS_DEN):
-        raise DenominatorNearZero("score denominator near zero")
-    out = Tensor(num / denom)
+    rows = ScoreRows(kind, x, pole="through")
+    out = Tensor(rows.scores())
     if not t._track(t):
         return out
 
     def back(g):
-        nump = fp()
-        offp = _raw_fp(_off_kind(kind), x) if margin else nump
-        denom2 = denom ** 2
-        gnum = g * num / denom2
-        a = gnum.sum(axis=-1, keepdims=True)
-        gx = g * nump * (denom - num) / denom2 - offp * (a - gnum)
+        gx = rows.vjp(g)
         if tap_sink is not None:
             tap_sink(x.ravel(), gx.ravel())
         return ((t, gx),)
@@ -211,7 +144,6 @@ class AttentionBlock:
         self.bv = parameter(np.zeros(d))
         self.bo = parameter(np.zeros(d))
         self.last_scores = None   # (B, heads, n, n) numpy, after forward
-        self.score_probe = None   # additive offset on raw scores, for tests
         self._tap_sink = None
 
     def parameters(self):
@@ -232,8 +164,6 @@ class AttentionBlock:
         v = split(x @ self.wv + self.bv)
         scale = 1.0 / d if cfg.score_scale == "inv_dmodel" else 1.0 / math.sqrt(d)
         raw = (q @ k.transpose((0, 1, 3, 2))) * scale
-        if self.score_probe is not None:
-            raw = raw + Tensor(self.score_probe)
         try:
             if cfg.prenormalize:
                 raw = normalize_rows(raw)
@@ -344,22 +274,12 @@ class DemoModel:
                 step=step if step is not None else -1,
                 layer_index=layer_index,
                 samples=[(float(xs[i]), float(gs[i])) for i in idx],
-                sample_cap=self._tap_cap,
-                flat_indices=[int(i) for i in idx]))
+                sample_cap=self._tap_cap))
         return sink
 
 
 def build_demo(cfg, seed):
     return DemoModel(cfg, seed)
-
-
-def attention_forward(cfg, tokens, params_seed=0):
-    """One attention block applied to a (n, d_model) token Tensor."""
-    rng = np.random.Generator(np.random.Philox(key=params_seed))
-    block = AttentionBlock(cfg, rng, layer_index=0)
-    data = tokens.data if isinstance(tokens, Tensor) else np.asarray(tokens)
-    out = block.forward(Tensor(data[None, :, :]))
-    return Tensor(out.data[0]), block
 
 
 def export_attention(model, image):
@@ -369,12 +289,3 @@ def export_attention(model, image):
         model.forward(image[None, ...])
     return [attn.last_scores[0].mean(axis=0) for attn, _ in model.blocks]
 
-
-def tap_scores(model, enabled, sample_cap=100, seed=0):
-    """Attach (or detach) gradient taps; returns the live record list."""
-    if enabled:
-        model.enable_taps(sample_cap, seed)
-    else:
-        model.disable_taps()
-        model.tap_records = []
-    return model.tap_records

@@ -18,25 +18,70 @@ import numpy as np
 EPS_DEN = 1e-8    # |denominator| below this raises DenominatorNearZero
 EPS_POLE = 1e-6   # (1 - sin x) below this is a Siren-max pole
 
-_TAGS = (
-    "softmax",
-    "taylor-softmax",
-    "sm-softmax",
-    "sm-taylor-softmax",
-    "sin-max-constant",
-    "sin-max",
-    "cos-max",
-    "sin2-max",
-    "sin2-max-shifted",
-    "sin-softmax",
-    "siren-max",
-)
+# Smallest 1 - sin(x) treated as distinct from the pole itself.  The
+# normalized siren-max score is a smooth rational function of sin(x)
+# right through sin(x) = 1, so pole="through" evaluates it directly; this
+# floor only stops the literal 0-divide when sin(x) rounds to 1.0.  A
+# nonzero 1 - sin(x) is at least 2**-53, so the floor changes no other
+# value.
+_SIREN_FLOOR = 1e-30
 
 # Kinds whose scores are invariant under x -> x + 2*pi.
 PERIODIC_TAGS = frozenset(
     {"sin-max-constant", "sin-max", "cos-max", "sin2-max",
      "sin2-max-shifted", "sin-softmax", "siren-max"}
 )
+
+# The soft-margin kinds score element j as f(x_j - margin) against the
+# unshifted f of the other elements of its row.
+_MARGIN_TAGS = frozenset({"sm-softmax", "sm-taylor-softmax"})
+
+
+def _exp(kind, z):
+    f = np.exp(z)
+    return f, lambda: f
+
+
+def _taylor(kind, z):
+    """Partial sums of the exponential series at z to orders n and n - 1,
+    which are f and f' of the order-n Taylor kinds."""
+    out = term = np.ones_like(z)
+    for i in range(1, kind.taylor_order + 1):
+        fp = out
+        term = term * z / i
+        out = out + term
+    return out, lambda: fp
+
+
+def _sin_softmax(kind, x):
+    f = np.exp(np.sin(x))
+    return f, lambda: f * np.cos(x)
+
+
+def _siren(kind, x):
+    s = np.sin(x)
+    return ((1.0 + s) / np.maximum(2.0 - 2.0 * s, 2.0 * _SIREN_FLOOR),
+            lambda: np.cos(x) / np.maximum(1.0 - s, _SIREN_FLOOR) ** 2)
+
+
+# tag -> (kind, z) |-> (f(z), thunk for f'(z)), elementwise and unguarded.
+# The thunk reuses what f and f' share, so a backward pass that needs f'
+# does not recompute it.
+_F_FP = {
+    "softmax": _exp,
+    "taylor-softmax": _taylor,
+    "sm-softmax": _exp,
+    "sm-taylor-softmax": _taylor,
+    "sin-max-constant": lambda k, x: (1.0 + np.sin(x), lambda: np.cos(x)),
+    "sin-max": lambda k, x: (np.sin(x), lambda: np.cos(x)),
+    "cos-max": lambda k, x: (np.cos(x), lambda: -np.sin(x)),
+    "sin2-max": lambda k, x: (np.sin(x) ** 2, lambda: np.sin(2.0 * x)),
+    "sin2-max-shifted": lambda k, x: (
+        np.sin(x + k.phase) ** 2, lambda: np.sin(2.0 * (x + k.phase))),
+    "sin-softmax": _sin_softmax,
+    "siren-max": _siren,
+}
+_TAGS = tuple(_F_FP)
 
 
 class ScoreError(ValueError):
@@ -74,18 +119,13 @@ class ScoreFunctionKind:
     phase: float = math.pi / 4
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _F_FP:
             raise ValueError(f"unknown score-function tag {self.tag!r}")
         if self.tag in ("taylor-softmax", "sm-taylor-softmax"):
             if self.taylor_order < 1:
                 raise ValueError("taylor_order must be a positive integer")
-        if self.tag in ("sm-softmax", "sm-taylor-softmax"):
-            if self.margin < 0:
-                raise ValueError("margin must be >= 0")
-
-    @property
-    def name(self):
-        return self.tag
+        if self.tag in _MARGIN_TAGS and self.margin < 0:
+            raise ValueError("margin must be >= 0")
 
 
 SOFTMAX = ScoreFunctionKind("softmax")
@@ -107,12 +147,6 @@ ALL_KINDS = (
 )
 
 
-def kind_from_name(name, taylor_order=2, margin=0.0, phase=math.pi / 4):
-    """Build a kind from its kebab-case CLI name."""
-    return ScoreFunctionKind(name, taylor_order=taylor_order,
-                             margin=margin, phase=phase)
-
-
 @dataclass
 class ScoreEval:
     """One row's evaluation: intermediates f(x_i), their sum, scores S_j."""
@@ -120,7 +154,6 @@ class ScoreEval:
     intermediates: np.ndarray
     sum: float
     scores: np.ndarray
-    dim: int
 
 
 @dataclass
@@ -128,77 +161,15 @@ class JacobianMatrix:
     """Dense d x d matrix with entries[j, k] = dS_j/dx_k."""
 
     entries: np.ndarray
-    dim: int
 
 
-def _taylor_poly(x, n):
-    out = np.ones_like(x)
-    term = np.ones_like(x)
-    for i in range(1, n + 1):
-        term = term * x / i
-        out = out + term
-    return out
+def f_and_fp(kind, x):
+    """f(x) and a thunk for f'(x), elementwise, with no guard checks.
 
-
-def _raw_f(kind, x):
-    """Intermediate f(x), no guard checks.  Vectorized."""
-    tag = kind.tag
-    if tag == "softmax":
-        return np.exp(x)
-    if tag == "taylor-softmax":
-        return _taylor_poly(x, kind.taylor_order)
-    if tag == "sm-softmax":
-        return np.exp(x - kind.margin)
-    if tag == "sm-taylor-softmax":
-        return _taylor_poly(x - kind.margin, kind.taylor_order)
-    if tag == "sin-max-constant":
-        return 1.0 + np.sin(x)
-    if tag == "sin-max":
-        return np.sin(x)
-    if tag == "cos-max":
-        return np.cos(x)
-    if tag == "sin2-max":
-        return np.sin(x) ** 2
-    if tag == "sin2-max-shifted":
-        return np.sin(x + kind.phase) ** 2
-    if tag == "sin-softmax":
-        return np.exp(np.sin(x))
-    if tag == "siren-max":
-        s = np.sin(x)
-        return (1.0 + s) / (2.0 - 2.0 * s)
-    raise AssertionError(tag)
-
-
-def _raw_fp(kind, x):
-    """Derivative f'(x), no guard checks.  Vectorized."""
-    tag = kind.tag
-    if tag == "softmax":
-        return np.exp(x)
-    if tag == "taylor-softmax":
-        return _taylor_poly(x, kind.taylor_order - 1) if kind.taylor_order >= 1 \
-            else np.zeros_like(x)
-    if tag == "sm-softmax":
-        return np.exp(x - kind.margin)
-    if tag == "sm-taylor-softmax":
-        n = kind.taylor_order
-        z = x - kind.margin
-        return _taylor_poly(z, n - 1) if n >= 1 else np.zeros_like(z)
-    if tag == "sin-max-constant":
-        return np.cos(x)
-    if tag == "sin-max":
-        return np.cos(x)
-    if tag == "cos-max":
-        return -np.sin(x)
-    if tag == "sin2-max":
-        return np.sin(2.0 * x)
-    if tag == "sin2-max-shifted":
-        return np.sin(2.0 * (x + kind.phase))
-    if tag == "sin-softmax":
-        return np.exp(np.sin(x)) * np.cos(x)
-    if tag == "siren-max":
-        s = np.sin(x)
-        return np.cos(x) / (1.0 - s) ** 2
-    raise AssertionError(tag)
+    For the soft-margin kinds this is the scored element's f(x - margin).
+    """
+    z = x - kind.margin if kind.tag in _MARGIN_TAGS else x
+    return _F_FP[kind.tag](kind, z)
 
 
 def pole_mask(kind, x):
@@ -206,20 +177,6 @@ def pole_mask(kind, x):
     if kind.tag == "siren-max":
         return (1.0 - np.sin(x)) < EPS_POLE
     return np.zeros(np.shape(x), dtype=bool)
-
-
-# The soft-margin kinds apply the margin only to the element being scored;
-# the other elements of the row enter the denominator unshifted.
-def _is_margin_kind(kind):
-    return kind.tag in ("sm-softmax", "sm-taylor-softmax")
-
-
-def _off_kind(kind):
-    if kind.tag == "sm-softmax":
-        return SOFTMAX
-    if kind.tag == "sm-taylor-softmax":
-        return ScoreFunctionKind("taylor-softmax", taylor_order=kind.taylor_order)
-    return kind
 
 
 def _check_finite(x):
@@ -232,6 +189,8 @@ def _check_finite(x):
 
 
 def _check_pole(kind, x):
+    if kind.tag != "siren-max":
+        return
     mask = pole_mask(kind, x)
     if np.any(mask):
         bad = int(np.argmax(np.ravel(mask)))
@@ -242,77 +201,106 @@ def _check_pole(kind, x):
 
 def intermediate(kind, x):
     """f(x) for a scalar input, per the kind's definition."""
-    x = _check_finite(x)
-    _check_pole(kind, x)
-    return float(_raw_f(kind, np.float64(x)))
+    return float(_scalar_f_and_fp(kind, x)[0])
 
 
 def intermediate_derivative(kind, x):
     """f'(x) for a scalar input."""
+    return float(_scalar_f_and_fp(kind, x)[1]())
+
+
+def _scalar_f_and_fp(kind, x):
     x = _check_finite(x)
     _check_pole(kind, x)
-    return float(_raw_fp(kind, np.float64(x)))
+    return f_and_fp(kind, np.float64(x))
 
 
-def _row_pieces(kind, x):
-    """Per-row numerator f, off-element f, and per-element denominators.
+class ScoreRows:
+    """Scores of one kind along the last axis of x, and their VJP.
 
-    For the shared-f kinds the denominator is the same for every j; for
-    the soft-margin kinds element j is scored as f(x_j - m) against the
-    unshifted sum of the others, so the denominator varies with j.
+    The row terms: num[j] = f(x_j) (at x_j - margin for the soft-margin
+    kinds), off[j] the unshifted f(x_j) that element j adds to the other
+    elements' denominators, total = sum_i off[i], and the per-element
+    denominator denom[j] = total - off[j] + num[j] = M_j + num[j], where
+    M_j is the off-sum of the other elements.
+
+    Construction rejects non-finite inputs.  pole="raise" also rejects
+    siren-max inputs within EPS_POLE of the pole; pole="through"
+    evaluates them (see _SIREN_FLOOR), which is what the training path
+    needs.  Near-zero denominators are checked by check_denominators(),
+    which scores() runs.
     """
-    num = _raw_f(kind, x)
-    if _is_margin_kind(kind):
-        off = _raw_f(_off_kind(kind), x)
-    else:
-        off = num
-    denom = off.sum() - off + num
-    return num, off, denom
+
+    def __init__(self, kind, x, pole="raise"):
+        if pole not in ("raise", "through"):
+            raise ValueError(f"pole must be 'raise' or 'through': {pole!r}")
+        x = _check_finite(x)
+        if pole == "raise":
+            _check_pole(kind, x)
+        self.num, self._fp = f_and_fp(kind, x)
+        if kind.tag in _MARGIN_TAGS:
+            self.off, self._offp = _F_FP[kind.tag](kind, x)
+        else:
+            self.off, self._offp = self.num, None
+        self.total = self.off.sum(axis=-1, keepdims=True)
+        self.denom = self.total - self.off + self.num
+
+    def check_denominators(self):
+        """Raise DenominatorNearZero where |denom| < EPS_DEN."""
+        # The mask is rebuilt only when the guard fires, so no full-size
+        # temporary outlives the check.
+        if np.any(np.abs(self.denom) < EPS_DEN):
+            bad = int(np.argmax(np.abs(self.denom) < EPS_DEN))
+            value = float(self.denom.flat[bad])
+            raise DenominatorNearZero(
+                f"|sum f(x)| < {EPS_DEN} at index {bad}",
+                index=bad, value=value)
+
+    def scores(self):
+        """S_j = num[j] / denom[j]."""
+        self.check_denominators()
+        return self.num / self.denom
+
+    def diag(self):
+        """Diagonal gradient dS_j/dx_j = M_j f'(x_j) / (M_j + f(x_j))^2."""
+        return (self.denom - self.num) * self._fp() / self.denom ** 2
+
+    def vjp(self, g):
+        """Gradient of sum(g * S) with respect to x; g broadcasts against
+        the rows, so g = I gives the rows of a 1-d input's Jacobian."""
+        num, denom = self.num, self.denom
+        nump = self._fp()
+        offp = nump if self._offp is None else self._offp()
+        denom2 = denom ** 2
+        gnum = g * num / denom2
+        a = gnum.sum(axis=-1, keepdims=True)
+        return g * nump * (denom - num) / denom2 - offp * (a - gnum)
+
+
+def _row(x, name):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"{name} requires a 1-d input with dim >= 2")
+    return x
 
 
 def scores(kind, x):
     """Normalized scores S_j = f(x_j) / sum_i f(x_i) for one row."""
-    x = _check_finite(x)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("scores requires a 1-d input with dim >= 2")
-    _check_pole(kind, x)
-    num, off, denom = _row_pieces(kind, x)
-    small = np.abs(denom) < EPS_DEN
-    if np.any(small):
-        bad = int(np.argmax(small))
-        raise DenominatorNearZero(
-            f"|sum f(x)| < {EPS_DEN} at index {bad}",
-            index=bad, value=float(denom[bad]))
-    return ScoreEval(intermediates=num, sum=float(off.sum()),
-                     scores=num / denom, dim=x.size)
+    rows = ScoreRows(kind, _row(x, "scores"))
+    return ScoreEval(intermediates=rows.num, sum=float(rows.total[0]),
+                     scores=rows.scores())
 
 
 def jacobian(kind, x):
-    """Analytic Jacobian dS_j/dx_k for one row.
+    """Analytic Jacobian dS_j/dx_k for one row, as the VJP of each unit
+    cotangent.
 
     Diagonal: M_j * f'(x_j) / (M_j + f(x_j))^2 with M_j the off-sum;
     off-diagonal from the quotient rule.
     """
-    x = _check_finite(x)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("jacobian requires a 1-d input with dim >= 2")
-    _check_pole(kind, x)
-    num, off, denom = _row_pieces(kind, x)
-    small = np.abs(denom) < EPS_DEN
-    if np.any(small):
-        bad = int(np.argmax(small))
-        raise DenominatorNearZero(
-            f"|sum f(x)| < {EPS_DEN} at index {bad}",
-            index=bad, value=float(denom[bad]))
-    nump = _raw_fp(kind, x)
-    if _is_margin_kind(kind):
-        offp = _raw_fp(_off_kind(kind), x)
-    else:
-        offp = nump
-    m = denom - num
-    entries = -np.outer(num / denom ** 2, offp)
-    entries[np.diag_indices_from(entries)] = m * nump / denom ** 2
-    return JacobianMatrix(entries=entries, dim=x.size)
+    rows = ScoreRows(kind, _row(x, "jacobian"))
+    rows.check_denominators()
+    return JacobianMatrix(entries=rows.vjp(np.eye(rows.num.size)))
 
 
 def finite_diff_jacobian(kind, x, h=1e-5):
@@ -320,16 +308,12 @@ def finite_diff_jacobian(kind, x, h=1e-5):
 
     When the normalization is near-singular (scores far outside [0, 1],
     e.g. sin-max with a small denominator) the base step would leave
-    visible truncation error, so the step shrinks with 1/max|S|.
+    visible truncation error, so the step shrinks with 1/max|S|.  The 2d
+    perturbed rows are scored as one batch.
     """
-    x = _check_finite(x)
-    d = x.size
+    x = np.asarray(x, dtype=np.float64)
     h = h / max(1.0, float(np.abs(scores(kind, x).scores).max()))
-    entries = np.empty((d, d))
-    for k in range(d):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        entries[:, k] = (scores(kind, xp).scores - scores(kind, xm).scores) / (2.0 * h)
-    return JacobianMatrix(entries=entries, dim=d)
+    d = x.size
+    steps = h * np.eye(d)
+    s = ScoreRows(kind, np.concatenate([x + steps, x - steps])).scores()
+    return JacobianMatrix(entries=(s[:d] - s[d:]).T / (2.0 * h))

@@ -42,7 +42,7 @@ from periscore import (
 )
 from periscore.analysis import extreme_diag_gradient
 from periscore.harness import load_cifar100
-from periscore.scorefn import PERIODIC_TAGS, ScoreFunctionKind, _raw_f
+from periscore.scorefn import PERIODIC_TAGS, ScoreFunctionKind
 
 
 def _rng(seed):
@@ -109,7 +109,7 @@ def test_criterion_03_cosmax_interval():
 def test_criterion_04_sinsoftmax_bound():
     t0 = time.perf_counter()
     x = _rng(13).normal(0.0, 3.0, size=10_000)
-    f = _raw_f(SIN_SOFTMAX, x)
+    f = scores(SIN_SOFTMAX, x).intermediates
     lo, hi = float(f.min()), float(f.max())
     e = math.e
     ok = (lo >= 1.0 / e - 1e-12 and hi <= e + 1e-12

@@ -183,6 +183,22 @@ def test_taps_without_sidecar_exits_1(tmp_path):
                  "--out", str(tmp_path / "h.csv")]) == 1
 
 
+@pytest.mark.parametrize("record", [
+    {"step": 1, "layer": 0, "cap": 2, "samples": [[0.1, 0.2, 0.3]]},
+    {"step": 1, "layer": 0, "cap": 2, "samples": [0.5, 0.7]},
+    {"step": 1, "layer": 0, "samples": [[0.1, 0.2]]},
+], ids=["triple-samples", "scalar-samples", "missing-cap"])
+def test_taps_malformed_sidecar_exits_2(tmp_path, capsys, record):
+    run = tmp_path / "run.jsonl"
+    (tmp_path / "run.jsonl.taps.jsonl").write_text(json.dumps(record) + "\n")
+    assert _run(["taps", "--run", str(run),
+                 "--out", str(tmp_path / "h.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_taps_bad_bins_exits_1(tmp_path):
     assert _run(["taps", "--run", str(tmp_path / "run.jsonl"), "--bins", "1",
                  "--out", str(tmp_path / "h.csv")]) == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from periscore import harness
 from periscore.autodiff import Tensor, parameter
 from periscore.harness import (
     Adam,
@@ -253,6 +254,24 @@ def test_train_breakdown_is_a_result_not_an_exception():
                                    "GradNormRunaway")
     assert log.final_eval_accuracy is None
     assert len(log.records) < 60
+
+
+def test_non_finite_gradient_with_finite_loss_is_non_finite_grad(
+        monkeypatch):
+    # Cross-entropy's backward hands back NaN while its value stays finite.
+    real = harness.cross_entropy
+
+    def nan_backward(logits, labels):
+        loss = real(logits, labels)
+        back = loss._backward
+        loss._backward = lambda g: tuple((t, np.full_like(pg, np.nan))
+                                         for t, pg in back(g))
+        return loss
+
+    monkeypatch.setattr(harness, "cross_entropy", nan_backward)
+    log = train(_config(steps=5))
+    assert log.breakdown == Breakdown(step=1, cause="NonFiniteGrad")
+    assert log.records == []
 
 
 def test_train_taps_fire_on_schedule():

@@ -20,13 +20,22 @@ from periscore.scorefn import (
     NonFiniteInput,
     PoleProximity,
     ScoreFunctionKind,
+    f_and_fp,
     finite_diff_jacobian,
     intermediate,
     intermediate_derivative,
     jacobian,
-    kind_from_name,
     pole_mask,
     scores,
+)
+
+from score_reference import (
+    EXTRA_KINDS,
+    kind_id,
+    ref_f,
+    ref_fp,
+    ref_jacobian,
+    ref_terms,
 )
 
 
@@ -49,11 +58,6 @@ def test_invalid_parameters_rejected():
         ScoreFunctionKind("sm-softmax", margin=-0.5)
 
 
-def test_kind_from_name_carries_parameters():
-    kind = kind_from_name("sm-taylor-softmax", taylor_order=4, margin=2.0)
-    assert kind.taylor_order == 4 and kind.margin == 2.0
-
-
 # -- intermediate values -----------------------------------------------
 
 
@@ -74,6 +78,33 @@ def test_intermediate_derivative_known_points():
         math.sin(0.6))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
+                         ids=kind_id)
+def test_kind_table_is_bitwise_the_reference(kind):
+    x = _rng(21).normal(0.0, 2.0, size=(60, 7))
+    x = x[~pole_mask(kind, x).any(axis=1)]
+    f, fp = f_and_fp(kind, x)
+    assert np.array_equal(f, ref_f(kind, x))
+    assert np.array_equal(fp(), ref_fp(kind, x))
+    assert intermediate(kind, x[0, 0]) == ref_f(kind, x[0, 0])
+    assert intermediate_derivative(kind, x[0, 0]) == ref_fp(kind, x[0, 0])
+    checked = 0
+    for row in x:
+        num, _, off, _, denom = ref_terms(kind, row)
+        if np.any(np.abs(denom) < 1e-8):
+            with pytest.raises(DenominatorNearZero):
+                scores(kind, row)
+            continue
+        ev = scores(kind, row)
+        assert np.array_equal(ev.intermediates, num)
+        assert ev.sum == off.sum()
+        assert np.array_equal(ev.scores, num / denom)
+        assert np.array_equal(jacobian(kind, row).entries,
+                              ref_jacobian(kind, row))
+        checked += 1
+    assert checked >= 40
+
+
 def test_shifted_kind_is_plain_kind_at_shifted_argument():
     kind = ScoreFunctionKind("sin2-max-shifted", phase=0.7)
     assert intermediate(kind, 1.1) == intermediate(SIN2_MAX, 1.8)
@@ -87,7 +118,7 @@ def test_softmax_scores_match_direct_formula():
     ev = scores(SOFTMAX, x)
     expected = np.exp(x) / np.exp(x).sum()
     np.testing.assert_allclose(ev.scores, expected, rtol=1e-14)
-    assert ev.dim == 4
+    assert ev.scores.shape == (4,)
     assert ev.sum == pytest.approx(np.exp(x).sum())
 
 

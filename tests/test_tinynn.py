@@ -7,17 +7,14 @@ import pytest
 
 from periscore.autodiff import Tensor, cross_entropy, no_grad, parameter
 from periscore.model import (
+    AttentionBlock,
     AttentionConfig,
     BreakdownSignal,
     DemoConfig,
-    _train_f,
-    _train_fp,
-    attention_forward,
     build_demo,
     export_attention,
     normalize_rows,
     score_rows,
-    tap_scores,
 )
 from periscore.analysis import row_normalize_jacobian
 from periscore.scorefn import (
@@ -26,10 +23,11 @@ from periscore.scorefn import (
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
-    _is_margin_kind,
-    _off_kind,
+    DenominatorNearZero,
     jacobian,
 )
+
+from score_reference import EXTRA_KINDS, kind_id, ref_vjp
 
 
 def _rng(seed):
@@ -145,11 +143,6 @@ def test_no_grad_records_no_graph():
     np.testing.assert_array_equal(logits.data, tracked.data)
 
 
-def test_values_property_is_flat():
-    t = Tensor(np.arange(6.0).reshape(2, 3))
-    np.testing.assert_array_equal(t.values, np.arange(6.0))
-
-
 # -- differentiable row ops --------------------------------------------
 
 
@@ -176,21 +169,8 @@ def test_score_rows_backward_matches_jacobian(kind):
         np.testing.assert_allclose(t.grad[i], want, atol=1e-10)
 
 
-def _reference_score_vjp(kind, x, g):
-    """score_rows' vector-Jacobian product from _train_f/_train_fp."""
-    num = _train_f(kind, x)
-    nump = _train_fp(kind, x)
-    if _is_margin_kind(kind):
-        off, offp = _train_f(_off_kind(kind), x), _train_fp(_off_kind(kind), x)
-    else:
-        off, offp = num, nump
-    denom = off.sum(axis=-1, keepdims=True) - off + num
-    a = (g * num / denom ** 2).sum(axis=-1, keepdims=True)
-    return g * nump * (denom - num) / denom ** 2 \
-        - offp * (a - g * num / denom ** 2)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+@pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
+                         ids=kind_id)
 def test_score_rows_backward_is_bitwise_the_reference(kind):
     # Inputs in (0.1, 1.2) keep sin and cos positive, so no guard fires.
     x = _rng(17).uniform(0.1, 1.2, size=(2, 3, 6))
@@ -199,7 +179,7 @@ def test_score_rows_backward_is_bitwise_the_reference(kind):
     t = parameter(x)
     out = score_rows(t, kind, tap_sink=lambda xs, gs: tapped.append((xs, gs)))
     (out * Tensor(g)).sum().backward()
-    want = _reference_score_vjp(kind, x, g)
+    want = ref_vjp(kind, x, g)
     assert np.array_equal(t.grad, want)
     [(xs, gs)] = tapped
     assert np.array_equal(xs, x.ravel())
@@ -216,6 +196,15 @@ def test_score_rows_siren_survives_the_pole():
     assert out.data[0, 1] == pytest.approx(1.0)  # pole element dominates
     out.sum().backward()
     assert np.all(np.isfinite(t.grad))
+
+
+def test_score_rows_denominator_guard_carries_location():
+    # sin(0.7) + sin(-0.7) = 0 exactly: the second row's denominators.
+    x = np.array([[0.3, 0.5], [0.7, -0.7]])
+    with pytest.raises(DenominatorNearZero) as exc:
+        score_rows(Tensor(x), SIN_MAX)
+    assert exc.value.index == 2
+    assert exc.value.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalize_rows_backward_matches_jacobian():
@@ -269,9 +258,9 @@ def test_patchify_is_nonoverlapping():
 
 def test_attention_forward_scores_are_rows_of_probabilities():
     cfg = AttentionConfig(embed_dim=8, num_heads=2, score_kind=SOFTMAX)
-    tokens = Tensor(_rng(10).normal(size=(5, 8)))
-    out, block = attention_forward(cfg, tokens, params_seed=2)
-    assert out.shape == (5, 8)
+    block = AttentionBlock(cfg, _rng(2), layer_index=0)
+    out = block.forward(Tensor(_rng(10).normal(size=(1, 5, 8))))
+    assert out.shape == (1, 5, 8)
     assert block.last_scores.shape == (1, 2, 5, 5)
     np.testing.assert_allclose(block.last_scores.sum(axis=-1), 1.0,
                                atol=1e-12)
@@ -291,20 +280,6 @@ def test_non_finite_input_becomes_breakdown_signal():
         model.forward(bad, step=7)
     assert exc.value.layer_index == 0
     assert exc.value.step == 7
-
-
-def test_score_probe_shifts_raw_scores():
-    model = build_demo(_demo_config(), seed=5)
-    images = _rng(12).normal(size=(1, 8, 8, 1))
-    model.forward(images)
-    base = model.blocks[0][0].last_scores.copy()
-    # A large uniform boost on one key column concentrates every row there.
-    probe = np.zeros((1, 2, 16, 16))
-    probe[..., 3] = 50.0
-    model.blocks[0][0].score_probe = probe
-    model.forward(images)
-    boosted = model.blocks[0][0].last_scores
-    assert boosted[..., 3].min() > base[..., 3].max()
 
 
 # -- gradient taps -----------------------------------------------------
@@ -329,7 +304,7 @@ def test_taps_record_scores_inputs_and_gradients():
 def test_taps_are_deterministic_given_seed():
     def run():
         model = build_demo(_demo_config(), seed=6)
-        tap_scores(model, True, sample_cap=5, seed=42)
+        model.enable_taps(sample_cap=5, seed=42)
         images = _rng(14).normal(size=(1, 8, 8, 1))
         cross_entropy(model.forward(images, step=1),
                       np.array([2])).backward()
@@ -341,8 +316,8 @@ def test_taps_are_deterministic_given_seed():
 
 def test_disabled_taps_record_nothing():
     model = build_demo(_demo_config(), seed=6)
-    tap_scores(model, True, sample_cap=5, seed=0)
-    tap_scores(model, False)
+    model.enable_taps(sample_cap=5, seed=0)
+    model.disable_taps()
     images = _rng(15).normal(size=(1, 8, 8, 1))
     cross_entropy(model.forward(images), np.array([0])).backward()
     assert model.drain_taps() == []
