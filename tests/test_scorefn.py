@@ -7,6 +7,7 @@ import pytest
 
 from periscore.scorefn import (
     ALL_KINDS,
+    EPS_DEN,
     EPS_POLE,
     SIN2_MAX,
     SIN2_MAX_SHIFTED,
@@ -91,7 +92,7 @@ def test_kind_table_is_bitwise_the_reference(kind):
     checked = 0
     for row in x:
         num, _, off, _, denom = ref_terms(kind, row)
-        if np.any(np.abs(denom) < 1e-8):
+        if np.any(np.abs(denom) < EPS_DEN):
             with pytest.raises(DenominatorNearZero):
                 scores(kind, row)
             continue
