@@ -22,10 +22,12 @@ from .scorefn import (
     PoleProximity,
     ScoreFunctionKind,
     ScoreRows,
+    _row,
     f_and_fp,
     jacobian,
     pole_mask,
     scores,
+    seeded_rng,
 )
 
 EPS_VAR = 1e-12  # row variance below this is a degenerate (constant) row
@@ -83,11 +85,6 @@ class SaturationReport:
     skipped_rows: int = 0
 
 
-def _rng(seed):
-    # Counter-based generator: identical streams on every platform.
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def diag_gradient_fixed_m(kind, m, x):
     """Diagonal gradient M*f'(x)/(M+f(x))^2 with the off-sum held at M.
 
@@ -123,15 +120,14 @@ def _golden_refine(fun, lo, hi, tol=1e-10):
     return 0.5 * (a + b)
 
 
-def extreme_diag_gradient(kind, m, mode="abs", x_range=GRID_RANGE,
-                          step=GRID_STEP):
-    """Numeric extremum of the fixed-M diagonal gradient over x_range.
+def extreme_diag_gradient(kind, m, mode="abs"):
+    """Numeric extremum of the fixed-M diagonal gradient over GRID_RANGE.
 
     Coarse grid then golden-section refinement.  mode is 'max', 'min'
     or 'abs' (largest magnitude, sign preserved).  Returns NaN when the
     guards fire everywhere.
     """
-    xs = np.arange(x_range[0], x_range[1] + step, step)
+    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
     ys = diag_gradient_fixed_m(kind, m, xs)
     if not np.any(np.isfinite(ys)):
         return float("nan")
@@ -224,11 +220,11 @@ def _diag_entries_rows(kind, rows):
     """Diagonal Jacobian entries of (n, d) rows, flat in row order;
     returns (entries, skipped_rows).
 
-    Rows hitting a guard (a pole, a near-zero denominator) are dropped
-    whole.
+    Rows hitting a guard (a pole, a near-zero or non-finite denominator)
+    are dropped whole.
     """
     terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)])
-    live = ~(np.abs(terms.denom) < EPS_DEN).any(axis=-1)
+    live = terms.denom_ok().all(axis=-1)
     return terms.diag()[live].ravel(), len(rows) - int(live.sum())
 
 
@@ -236,7 +232,7 @@ def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
     """Fraction of diagonal gradients with |value| < epsilon on seeded draws."""
     if dim < 2 or trials < 1 or epsilon <= 0:
         raise ValueError("need dim >= 2, trials >= 1, epsilon > 0")
-    rows = _rng(seed).normal(0.0, input_scale, size=(trials, dim))
+    rows = seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim))
     entries, skipped = _diag_entries_rows(kind, rows)
     frac = float(np.mean(np.abs(entries) < epsilon)) if entries.size else 0.0
     return SaturationReport(kind=kind, epsilon=epsilon,
@@ -287,25 +283,33 @@ def extremum_vs_m_curve(kind, m_values):
                        params={"skipped_m": skipped})
 
 
+def whiten_rows(x):
+    """(z, sigma): z = (x - mean) / sigma along the last axis, sigma the
+    population std; DegenerateRow where a row's variance is <= EPS_VAR."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    if np.any(var <= EPS_VAR):
+        raise DegenerateRow(f"row variance {var.min()} <= {EPS_VAR}")
+    sigma = np.sqrt(var)
+    return (x - mu) / sigma, sigma
+
+
+def whiten_vjp(z, sigma, g):
+    """Gradient of sum(g * z) in x, for (z, sigma) = whiten_rows(x); g = I
+    gives a row's Jacobian (I - 11^T/d - z z^T/d) / sigma."""
+    return (g - g.mean(axis=-1, keepdims=True)
+            - z * (g * z).mean(axis=-1, keepdims=True)) / sigma
+
+
 def row_normalize(x):
     """Whiten one row: subtract the mean, divide by the population std."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("row_normalize requires a 1-d input with dim >= 2")
-    var = float(np.var(x))
-    if var <= EPS_VAR:
-        raise DegenerateRow(f"row variance {var} <= {EPS_VAR}")
-    return (x - x.mean()) / math.sqrt(var)
+    return whiten_rows(_row(x, "row_normalize"))[0]
 
 
 def row_normalize_jacobian(x):
-    """Analytic Jacobian of row_normalize: (I - 11^T/d - z z^T/d) / sigma."""
-    x = np.asarray(x, dtype=np.float64)
-    z = row_normalize(x)
-    d = x.size
-    sigma = math.sqrt(float(np.var(x)))
-    entries = (np.eye(d) - np.ones((d, d)) / d - np.outer(z, z) / d) / sigma
-    return JacobianMatrix(entries=entries)
+    """Analytic Jacobian of row_normalize: the VJP of each unit cotangent."""
+    z, sigma = whiten_rows(_row(x, "row_normalize_jacobian"))
+    return JacobianMatrix(entries=whiten_vjp(z, sigma, np.eye(z.size)))
 
 
 def prenormed_scores(kind, x):
@@ -315,10 +319,8 @@ def prenormed_scores(kind, x):
 
 def prenormed_jacobian(kind, x):
     """Chain-rule Jacobian of the pre-normalized scores."""
-    z = row_normalize(x)
-    jn = row_normalize_jacobian(x)
-    js = jacobian(kind, z)
-    return JacobianMatrix(entries=js.entries @ jn.entries)
+    return JacobianMatrix(entries=jacobian(kind, row_normalize(x)).entries
+                          @ row_normalize_jacobian(x).entries)
 
 
 def submersion_curve(d_values, trials=1000, seed=7):
@@ -328,7 +330,7 @@ def submersion_curve(d_values, trials=1000, seed=7):
     """
     ys = []
     for d in d_values:
-        rows = _rng(seed).normal(0.0, 1.0, size=(trials, d))
+        rows = seeded_rng(seed).normal(0.0, 1.0, size=(trials, d))
         devs = []
         for row in rows:
             ev = scores(SIN_MAX_CONSTANT, row)

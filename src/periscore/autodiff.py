@@ -39,15 +39,35 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _needs_grad(t):
+    """A leaf that asks for a gradient, or a result that kept parents."""
+    return t.requires_grad or bool(t._parents)
+
+
+def node(data, parents, backward):
+    """The Tensor result of an op; backward(g) maps its adjoint to
+    (parent, gradient) pairs.  Parents and backward are kept only while
+    recording is on and some parent needs a gradient."""
+    out = Tensor(data)
+    if _grad_enabled and any(_needs_grad(p) for p in parents):
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
+def _tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -55,12 +75,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- graph plumbing ------------------------------------------------
-
-    def _track(self, *parents):
-        return _grad_enabled and any(p.requires_grad or p._parents
-                                     for p in parents)
 
     def backward(self):
         if self.data.size != 1:
@@ -90,101 +104,64 @@ class Tensor:
             if t._backward is None:
                 continue
             for parent, pg in t._backward(g):
-                if parent.requires_grad or parent._parents:
+                if _needs_grad(parent):
                     key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-
-    def zero_grad(self):
-        self.grad = None
+                    grads[key] = grads[key] + pg if key in grads else pg
 
     # -- elementwise ---------------------------------------------------
 
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data)
-        if self._track(self, other):
-            out._parents = (self, other)
-            out._backward = lambda g: (
-                (self, _unbroadcast(g, self.shape)),
-                (other, _unbroadcast(g, other.shape)),
-            )
-        return out
+        other = _tensor(other)
+        return node(self.data + other.data, (self, other), lambda g: (
+            (self, _unbroadcast(g, self.shape)),
+            (other, _unbroadcast(g, other.shape)),
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data)
-        if self._track(self):
-            out._parents = (self,)
-            out._backward = lambda g: ((self, -g),)
-        return out
+        return node(-self.data, (self,), lambda g: ((self, -g),))
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
+        return self + (-_tensor(other))
 
     def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data)
-        if self._track(self, other):
-            out._parents = (self, other)
-            out._backward = lambda g: (
-                (self, _unbroadcast(g * other.data, self.shape)),
-                (other, _unbroadcast(g * self.data, other.shape)),
-            )
-        return out
+        other = _tensor(other)
+        return node(self.data * other.data, (self, other), lambda g: (
+            (self, _unbroadcast(g * other.data, self.shape)),
+            (other, _unbroadcast(g * self.data, other.shape)),
+        ))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data @ other.data)
-        if self._track(self, other):
-            out._parents = (self, other)
+        other = _tensor(other)
 
-            def back(g):
-                ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
-                gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
-                return ((self, ga), (other, gb))
+        def back(g):
+            ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
+            gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
+            return ((self, ga), (other, gb))
 
-            out._backward = back
-        return out
+        return node(self.data @ other.data, (self, other), back)
 
     # -- shape ops -----------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape))
-        if self._track(self):
-            out._parents = (self,)
-            out._backward = lambda g: ((self, g.reshape(self.shape)),)
-        return out
+        return node(self.data.reshape(*shape), (self,),
+                    lambda g: ((self, g.reshape(self.shape)),))
 
     def transpose(self, axes):
-        out = Tensor(np.transpose(self.data, axes))
-        inv = np.argsort(axes)
-        if self._track(self):
-            out._parents = (self,)
-            out._backward = lambda g: ((self, np.transpose(g, inv)),)
-        return out
+        return node(np.transpose(self.data, axes), (self,),
+                    lambda g: ((self, np.transpose(g, np.argsort(axes))),))
 
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis))
-        if self._track(self):
-            out._parents = (self,)
+        def back(g):
+            ge = g if axis is None else np.expand_dims(g, axis)
+            return ((self, np.broadcast_to(ge, self.shape).copy()),)
 
-            def back(g):
-                if axis is None:
-                    return ((self, np.broadcast_to(g, self.shape).copy()),)
-                ge = np.expand_dims(g, axis)
-                return ((self, np.broadcast_to(ge, self.shape).copy()),)
-
-            out._backward = back
-        return out
+        return node(self.data.sum(axis=axis), (self,), back)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -199,17 +176,13 @@ class Tensor:
         x2 = x * x
         inner = c * (x + 0.044715 * (x2 * x))
         t = np.tanh(inner)
-        out = Tensor(0.5 * x * (1.0 + t))
-        if self._track(self):
-            out._parents = (self,)
 
-            def back(g):
-                dinner = c * (1.0 + 3.0 * 0.044715 * x2)
-                d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-                return ((self, g * d),)
+        def back(g):
+            dinner = c * (1.0 + 3.0 * 0.044715 * x2)
+            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+            return ((self, g * d),)
 
-            out._backward = back
-        return out
+        return node(0.5 * x * (1.0 + t), (self,), back)
 
     def log_softmax(self):
         """Numerically stable log-softmax over the last axis."""
@@ -217,13 +190,8 @@ class Tensor:
         shifted = x - x.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         logp = shifted - lse
-        out = Tensor(logp)
-        if self._track(self):
-            out._parents = (self,)
-            p = np.exp(logp)
-            out._backward = lambda g: (
-                (self, g - p * g.sum(axis=-1, keepdims=True)),)
-        return out
+        return node(logp, (self,), lambda g: (
+            (self, g - np.exp(logp) * g.sum(axis=-1, keepdims=True)),))
 
 
 def parameter(data):
@@ -235,15 +203,10 @@ def cross_entropy(logits, labels):
     labels = np.asarray(labels)
     logp = logits.log_softmax()
     b = labels.shape[0]
-    picked_data = logp.data[np.arange(b), labels]
-    out = Tensor(-picked_data.mean())
-    if logp._track(logp):
-        out._parents = (logp,)
 
-        def back(g):
-            gl = np.zeros_like(logp.data)
-            gl[np.arange(b), labels] = -g / b
-            return ((logp, gl),)
+    def back(g):
+        gl = np.zeros_like(logp.data)
+        gl[np.arange(b), labels] = -g / b
+        return ((logp, gl),)
 
-        out._backward = back
-    return out
+    return node(-logp.data[np.arange(b), labels].mean(), (logp,), back)

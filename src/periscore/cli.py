@@ -29,11 +29,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _kind_from_flags(name, args):
-    return ScoreFunctionKind(
-        name,
-        taylor_order=getattr(args, "taylor_order", 2),
-        margin=getattr(args, "margin", 0.0),
-        phase=getattr(args, "phase", math.pi / 4))
+    return ScoreFunctionKind(name, taylor_order=args.taylor_order,
+                             margin=args.margin, phase=args.phase)
 
 
 def _add_kind_params(p):
@@ -70,7 +67,7 @@ def cmd_gradcheck(args):
         print("error: --dim must be >= 2", file=sys.stderr)
         return 1
     names = KIND_NAMES if args.fn == "all" else [args.fn]
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    rng = scorefn.seeded_rng(args.seed)
     all_pass = True
     for name in names:
         kind = _kind_from_flags(name, args)
@@ -94,8 +91,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_analyze(args):
-    if args.report == "saturation":
-        with open(args.out, "w") as fh:
+    with open(args.out, "w") as fh:
+        if args.report == "saturation":
             fh.write("kind,fraction_saturated,sample_count,skipped_rows\n")
             for kind in scorefn.ALL_KINDS:
                 rep = analysis.saturation_fraction(
@@ -103,24 +100,19 @@ def cmd_analyze(args):
                     epsilon=1e-4, seed=7)
                 fh.write(f"{kind.tag},{rep.fraction_saturated!r},"
                          f"{rep.sample_count},{rep.skipped_rows}\n")
-    elif args.report == "extremum-vs-m":
-        m_values = [0.5, 1.0, 2.0, 5.0, 10.0]
-        with open(args.out, "w") as fh:
+        elif args.report == "extremum-vs-m":
             fh.write("kind,m,extremum\n")
             for kind in scorefn.ALL_KINDS:
-                curve = analysis.extremum_vs_m_curve(kind, m_values)
+                curve = analysis.extremum_vs_m_curve(
+                    kind, [0.5, 1.0, 2.0, 5.0, 10.0])
                 for m, y in zip(curve.x_values, curve.y_values):
                     field = "" if math.isnan(y) else repr(float(y))
                     fh.write(f"{kind.tag},{float(m)!r},{field}\n")
-    elif args.report == "submersion":
-        curve = analysis.submersion_curve([4, 16, 64, 256])
-        with open(args.out, "w") as fh:
+        else:  # submersion
+            curve = analysis.submersion_curve([4, 16, 64, 256])
             fh.write("d,mean_max_abs_dev\n")
             for d, y in zip(curve.x_values, curve.y_values):
                 fh.write(f"{int(d)},{float(y)!r}\n")
-    else:
-        print(f"error: unknown report {args.report!r}", file=sys.stderr)
-        return 1
     print(f"wrote {args.report} report to {args.out}")
     return 0
 
@@ -210,7 +202,7 @@ def build_parser():
                                  "desk-scale training, tap histograms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("curves", parents=[], help="emit a gradient curve CSV")
+    p = sub.add_parser("curves", help="emit a gradient curve CSV")
     p.add_argument("--fn", required=True, choices=KIND_NAMES)
     p.add_argument("--m", type=float, default=1.0, help="fixed off-sum M")
     p.add_argument("--x-min", type=float, required=True)

@@ -16,15 +16,12 @@ import numpy as np
 from . import model as tinynn
 from .autodiff import cross_entropy, no_grad
 from .model import BreakdownSignal, DemoConfig, GradientTapRecord
+from .scorefn import seeded_rng
 
 GRAD_RUNAWAY_NORM = 1e6
 GRAD_RUNAWAY_STEPS = 10
 
 CIFAR_RECORD_BYTES = 3074  # coarse byte + fine byte + 3*32*32 pixels
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 @dataclass
@@ -123,7 +120,7 @@ def make_synthetic(num_classes, samples_per_class, noise_sd, seed):
     """8x8x1 images: seeded class templates plus pixel noise."""
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     templates = rng.normal(0.0, 1.0, size=(num_classes, 8, 8, 1))
     n = num_classes * samples_per_class
     # Contiguous class blocks so the index-based eval split stays
@@ -282,7 +279,7 @@ def train(cfg):
     data = build_dataset(cfg.dataset, cfg.seed)
     model = tinynn.build_demo(cfg.demo, cfg.seed)
     opt = _make_optimizer(model.parameters(), cfg.optimizer)
-    batch_rng = _rng(cfg.seed + 1)
+    batch_rng = seeded_rng(cfg.seed + 1)
     log = TrainRunLog(records=[])
     runaway_streak = 0
 
@@ -387,20 +384,34 @@ def write_run_log(log, path):
                 {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
 
 
-def read_run_log(path):
-    log = TrainRunLog(records=[])
+def _read_jsonl(path, what, add):
+    """add(obj) for each line's JSON value; a line that is not JSON or
+    that add() rejects raises ValueError naming the file and line."""
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if "breakdown" in obj:
-                log.breakdown = Breakdown(step=obj["breakdown"]["step"],
-                                          cause=obj["breakdown"]["cause"])
-            elif "final_eval_accuracy" in obj:
-                log.final_eval_accuracy = obj["final_eval_accuracy"]
-            else:
-                log.records.append(StepRecord(
-                    step=obj["step"], loss=obj["loss"],
-                    train_accuracy=obj["acc"], grad_norm=obj["grad_norm"]))
+        for n, line in enumerate(fh, 1):
+            try:
+                add(json.loads(line))
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{path} line {n}: not a {what} "
+                                 f"({type(err).__name__}: {err})") from None
+
+
+def read_run_log(path):
+    """Parse a run log; a malformed line raises ValueError."""
+    log = TrainRunLog(records=[])
+
+    def add(obj):
+        if "breakdown" in obj:
+            log.breakdown = Breakdown(step=obj["breakdown"]["step"],
+                                      cause=obj["breakdown"]["cause"])
+        elif "final_eval_accuracy" in obj:
+            log.final_eval_accuracy = obj["final_eval_accuracy"]
+        else:
+            log.records.append(StepRecord(
+                step=obj["step"], loss=obj["loss"],
+                train_accuracy=obj["acc"], grad_norm=obj["grad_norm"]))
+
+    _read_jsonl(path, "run-log record", add)
     return log
 
 
@@ -416,17 +427,11 @@ def write_taps(taps, path):
 def read_taps(path):
     """Parse a taps sidecar; a malformed line raises ValueError."""
     taps = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                obj = json.loads(line)
-                taps.append(GradientTapRecord(
-                    step=obj["step"], layer_index=obj["layer"],
-                    samples=[(float(x), float(g)) for x, g in obj["samples"]],
-                    sample_cap=obj["cap"]))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path} line {n}: not a tap record "
-                                 f"({type(err).__name__}: {err})") from None
+    _read_jsonl(path, "tap record", lambda obj: taps.append(
+        GradientTapRecord(
+            step=obj["step"], layer_index=obj["layer"],
+            samples=[(float(x), float(g)) for x, g in obj["samples"]],
+            sample_cap=obj["cap"])))
     return taps
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, parameter
-from .analysis import EPS_VAR, DegenerateRow
-from .scorefn import ScoreError, ScoreFunctionKind, ScoreRows
+from .autodiff import Tensor, no_grad, node, parameter
+from .analysis import DegenerateRow, whiten_rows, whiten_vjp
+from .scorefn import ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng
 
 
 class BreakdownSignal(RuntimeError):
@@ -84,9 +84,6 @@ def score_rows(t, kind, tap_sink=None):
     """
     x = t.data
     rows = ScoreRows(kind, x, pole="through")
-    out = Tensor(rows.scores())
-    if not t._track(t):
-        return out
 
     def back(g):
         gx = rows.vjp(g)
@@ -94,32 +91,13 @@ def score_rows(t, kind, tap_sink=None):
             tap_sink(x.ravel(), gx.ravel())
         return ((t, gx),)
 
-    out._parents = (t,)
-    out._backward = back
-    return out
+    return node(rows.scores(), (t,), back)
 
 
 def normalize_rows(t):
     """Whiten the last axis of a Tensor (population variance)."""
-    x = t.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    if np.any(var <= EPS_VAR):
-        raise DegenerateRow("constant row inside prenormalization")
-    sigma = np.sqrt(var)
-    z = (x - mu) / sigma
-    out = Tensor(z)
-    if not t._track(t):
-        return out
-
-    def back(g):
-        gz = (g - g.mean(axis=-1, keepdims=True)
-              - z * (g * z).mean(axis=-1, keepdims=True)) / sigma
-        return ((t, gz),)
-
-    out._parents = (t,)
-    out._backward = back
-    return out
+    z, sigma = whiten_rows(t.data)
+    return node(z, (t,), lambda g: ((t, whiten_vjp(z, sigma, g)),))
 
 
 # -- layers ------------------------------------------------------------
@@ -195,7 +173,7 @@ class DemoModel:
 
     def __init__(self, cfg, seed):
         self.cfg = cfg
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = seeded_rng(seed)
         h, w, c = cfg.input_shape
         p = cfg.patch_size
         self.n_tokens = (h // p) * (w // p)
@@ -251,7 +229,7 @@ class DemoModel:
         if sample_cap < 1:
             raise ValueError("sample_cap must be >= 1")
         self._tap_cap = sample_cap
-        self._tap_rng = np.random.Generator(np.random.Philox(key=seed))
+        self._tap_rng = seeded_rng(seed)
         self.tap_records = []
 
     def disable_taps(self):

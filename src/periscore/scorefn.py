@@ -105,6 +105,10 @@ class PoleProximity(ScoreError):
     pass
 
 
+class NonFiniteDenominator(ScoreError):
+    pass
+
+
 @dataclass(frozen=True)
 class ScoreFunctionKind:
     """Tagged choice of one of the eleven score functions.
@@ -161,6 +165,11 @@ class JacobianMatrix:
     """Dense d x d matrix with entries[j, k] = dS_j/dx_k."""
 
     entries: np.ndarray
+
+
+def seeded_rng(seed):
+    """Counter-based generator: one stream per seed on every platform."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def f_and_fp(kind, x):
@@ -227,8 +236,8 @@ class ScoreRows:
     Construction rejects non-finite inputs.  pole="raise" also rejects
     siren-max inputs within EPS_POLE of the pole; pole="through"
     evaluates them (see _SIREN_FLOOR), which is what the training path
-    needs.  Near-zero denominators are checked by check_denominators(),
-    which scores() runs.
+    needs.  Near-zero and non-finite denominators are checked by
+    check_denominators(), which scores() runs.
     """
 
     def __init__(self, kind, x, pole="raise"):
@@ -245,16 +254,22 @@ class ScoreRows:
         self.total = self.off.sum(axis=-1, keepdims=True)
         self.denom = self.total - self.off + self.num
 
+    def denom_ok(self):
+        """True where denom is finite with |denom| >= EPS_DEN."""
+        a = np.abs(self.denom)
+        return (a >= EPS_DEN) & (a < np.inf)
+
     def check_denominators(self):
-        """Raise DenominatorNearZero where |denom| < EPS_DEN."""
+        """Raise at the first denominator that denom_ok() rejects."""
         # The mask is rebuilt only when the guard fires, so no full-size
         # temporary outlives the check.
-        if np.any(np.abs(self.denom) < EPS_DEN):
-            bad = int(np.argmax(np.abs(self.denom) < EPS_DEN))
+        if not np.all(self.denom_ok()):
+            bad = int(np.argmin(self.denom_ok()))
             value = float(self.denom.flat[bad])
-            raise DenominatorNearZero(
-                f"|sum f(x)| < {EPS_DEN} at index {bad}",
-                index=bad, value=value)
+            cls = (DenominatorNearZero if math.isfinite(value)
+                   else NonFiniteDenominator)
+            raise cls(f"denominator {value} at index {bad}: need a finite "
+                      f"|denom| >= {EPS_DEN}", index=bad, value=value)
 
     def scores(self):
         """S_j = num[j] / denom[j]."""

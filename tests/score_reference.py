@@ -1,5 +1,5 @@
-"""From-scratch score-function math, the reference the kernel tests
-compare against bitwise.
+"""From-scratch score-function and row-whitening math, the reference the
+kernel tests compare against.
 
 Each kind's f and f' is written out on its own here, one branch per tag,
 with no sharing of intermediate values; the soft-margin kinds score
@@ -125,3 +125,23 @@ def ref_vjp(kind, x, g):
     a = (g * num / denom ** 2).sum(axis=-1, keepdims=True)
     return g * nump * (denom - num) / denom ** 2 \
         - offp * (a - g * num / denom ** 2)
+
+
+def ref_whiten(x, g):
+    """Whitened rows z of x and the gradient of sum(g * z), along the
+    last axis, in the operation order of the training path."""
+    mu = x.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(x.var(axis=-1, keepdims=True))
+    z = (x - mu) / sigma
+    gz = (g - g.mean(axis=-1, keepdims=True)
+          - z * (g * z).mean(axis=-1, keepdims=True)) / sigma
+    return z, gz
+
+
+def ref_whiten_jacobian(x):
+    """Jacobian of one whitened row in closed form:
+    (I - 11^T/d - z z^T/d) / sigma."""
+    d = x.size
+    sigma = np.sqrt(np.var(x))
+    z = (x - x.mean()) / sigma
+    return (np.eye(d) - np.ones((d, d)) / d - np.outer(z, z) / d) / sigma

@@ -38,6 +38,8 @@ from periscore.scorefn import (
     scores,
 )
 
+from score_reference import ref_whiten_jacobian
+
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
@@ -162,6 +164,19 @@ def test_saturation_counts_skipped_rows():
     assert rep.skipped_rows + rep.sample_count // 64 == 50
 
 
+def test_saturation_drops_rows_whose_denominator_overflows():
+    # At input scale 300 the softmax row sum overflows in many rows, which
+    # makes those rows' denominators inf or NaN.
+    rows = _rng(7).normal(0.0, 300.0, size=(200, 64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
+                                  input_scale=300.0, epsilon=1e-4, seed=7)
+        overflow = int((~np.isfinite(np.exp(rows).sum(axis=1))).sum())
+    assert overflow > 0
+    assert rep.skipped_rows == overflow
+    assert rep.sample_count == (200 - overflow) * 64
+
+
 def test_submersion_curve_decreases():
     curve = submersion_curve([4, 32], trials=100, seed=7)
     assert curve.y_values[1] < curve.y_values[0]
@@ -208,6 +223,12 @@ def test_row_normalize_whitens():
 def test_row_normalize_rejects_constant_rows():
     with pytest.raises(DegenerateRow):
         row_normalize(np.full(8, 3.5))
+
+
+def test_row_normalize_jacobian_matches_closed_form():
+    x = _rng(6).normal(1.0, 2.0, size=7)
+    np.testing.assert_allclose(row_normalize_jacobian(x).entries,
+                               ref_whiten_jacobian(x), rtol=0, atol=1e-15)
 
 
 def test_row_normalize_jacobian_matches_finite_differences():

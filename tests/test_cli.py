@@ -154,6 +154,19 @@ def test_train_missing_cifar_path_exits_2(tmp_path):
                  "--out", str(tmp_path / "run.jsonl")]) == 2
 
 
+def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
+    # 5000 bytes is not a whole number of 3074-byte records.
+    data = tmp_path / "bad.bin"
+    data.write_bytes(bytes(5000))
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax",
+                 "--dataset", f"cifar100:{data}:16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "3074" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_bad_dataset_string_exits_1(tmp_path):
     assert _run(["train", "--score", "softmax", "--dataset", "imagenet",
                  "--out", str(tmp_path / "run.jsonl")]) == 1

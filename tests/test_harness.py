@@ -350,6 +350,20 @@ def test_run_log_roundtrip_breakdown(tmp_path):
     assert back.final_eval_accuracy is None
 
 
+@pytest.mark.parametrize("line, error", [
+    ('{"step": 2, "loss": 0.4, "grad_norm": 1.5}', "KeyError"),
+    ("[2, 0.4, 0.5, 1.5]", "TypeError"),
+], ids=["missing-acc", "json-list"])
+def test_read_run_log_rejects_malformed_line(tmp_path, line, error):
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"step": 1, "loss": 0.5, "acc": 0.25, "grad_norm": 2.0}'
+                    "\n" + line + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_run_log(path)
+    assert str(exc.value).startswith(
+        f"{path} line 2: not a run-log record ({error}")
+
+
 def test_taps_roundtrip(tmp_path):
     taps = [_tap(3, 1, [(0.25, -1.5), (2.0, 0.0)])]
     path = tmp_path / "taps.jsonl"

@@ -18,6 +18,7 @@ from periscore.scorefn import (
     SOFTMAX,
     TAYLOR_SOFTMAX,
     DenominatorNearZero,
+    NonFiniteDenominator,
     NonFiniteInput,
     PoleProximity,
     ScoreFunctionKind,
@@ -163,6 +164,23 @@ def test_near_zero_denominator_raises():
     # sin(x) + sin(-x) = 0 exactly.
     with pytest.raises(DenominatorNearZero):
         scores(SIN_MAX, np.array([0.7, -0.7]))
+
+
+@pytest.mark.parametrize("kind, x, bad", [
+    (SOFTMAX, [800.0, 0.0], math.nan),
+    (TAYLOR_SOFTMAX, [1e200, 0.0], math.nan),
+    (SOFTMAX, [709.0, 709.0, 709.0], math.inf),
+], ids=["softmax-800", "taylor-softmax-1e200", "softmax-sum-overflows"])
+def test_overflowing_f_raises_non_finite_denominator(kind, x, bad):
+    # Where f(x_0) overflows, denom[0] = inf - inf + inf is NaN; where only
+    # the row sum overflows, every denominator is inf and every score 0.
+    # A plain |denom| < EPS_DEN test fires on neither.
+    for fn in (scores, jacobian):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteDenominator) as exc:
+            fn(kind, np.array(x))
+        assert exc.value.index == 0
+        assert np.array_equal(exc.value.value, bad, equal_nan=True)
 
 
 def test_siren_pole_raises_and_is_flagged():

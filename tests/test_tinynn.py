@@ -16,7 +16,7 @@ from periscore.model import (
     normalize_rows,
     score_rows,
 )
-from periscore.analysis import row_normalize_jacobian
+from periscore.analysis import DegenerateRow
 from periscore.scorefn import (
     ALL_KINDS,
     SIN_MAX,
@@ -27,7 +27,13 @@ from periscore.scorefn import (
     jacobian,
 )
 
-from score_reference import EXTRA_KINDS, kind_id, ref_vjp
+from score_reference import (
+    EXTRA_KINDS,
+    kind_id,
+    ref_vjp,
+    ref_whiten,
+    ref_whiten_jacobian,
+)
 
 
 def _rng(seed):
@@ -213,8 +219,28 @@ def test_normalize_rows_backward_matches_jacobian():
     g = _rng(8).normal(size=(3, 5))
     (normalize_rows(t) * Tensor(g)).sum().backward()
     for i in range(3):
-        want = g[i] @ row_normalize_jacobian(x[i]).entries
+        want = g[i] @ ref_whiten_jacobian(x[i])
         np.testing.assert_allclose(t.grad[i], want, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (3, 1, 5), (16, 4, 16, 16)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_normalize_rows_is_bitwise_the_reference(shape):
+    x = _rng(19).normal(0.5, 2.0, size=shape)
+    g = _rng(20).normal(size=shape)
+    t = parameter(x)
+    out = normalize_rows(t)
+    (out * Tensor(g)).sum().backward()
+    z, gz = ref_whiten(x, g)
+    assert np.array_equal(out.data, z)
+    assert np.array_equal(t.grad, gz)
+
+
+def test_normalize_rows_rejects_a_constant_row():
+    x = _rng(21).normal(size=(3, 4))
+    x[1] = 2.5
+    with pytest.raises(DegenerateRow):
+        normalize_rows(parameter(x))
 
 
 # -- demo model --------------------------------------------------------
