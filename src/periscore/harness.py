@@ -326,7 +326,10 @@ def train(cfg):
             runaway_streak = 0
         opt.step()
 
-    log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx)
+    try:
+        log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx)
+    except BreakdownSignal:
+        log.breakdown = Breakdown(step=cfg.steps, cause="ScoreError")
     return log
 
 
@@ -376,9 +379,7 @@ def write_run_log(log, path):
                                  "acc": r.train_accuracy,
                                  "grad_norm": r.grad_norm}) + "\n")
         if log.breakdown is not None:
-            fh.write(json.dumps({"breakdown": {
-                "step": log.breakdown.step,
-                "cause": log.breakdown.cause}}) + "\n")
+            fh.write(json.dumps({"breakdown": vars(log.breakdown)}) + "\n")
         else:
             fh.write(json.dumps(
                 {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
@@ -402,8 +403,7 @@ def read_run_log(path):
 
     def add(obj):
         if "breakdown" in obj:
-            log.breakdown = Breakdown(step=obj["breakdown"]["step"],
-                                      cause=obj["breakdown"]["cause"])
+            log.breakdown = Breakdown(**obj["breakdown"])
         elif "final_eval_accuracy" in obj:
             log.final_eval_accuracy = obj["final_eval_accuracy"]
         else:

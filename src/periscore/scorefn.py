@@ -260,10 +260,10 @@ class ScoreRows:
         return (a >= EPS_DEN) & (a < np.inf)
 
     def check_denominators(self):
-        """Raise at the first denominator that denom_ok() rejects."""
-        # The mask is rebuilt only when the guard fires, so no full-size
-        # temporary outlives the check.
-        if not np.all(self.denom_ok()):
+        """Raise at the first denominator denom_ok() rejects.  A NaN fails
+        the min() test; the mask is built only when the guard fires."""
+        a = np.abs(self.denom)
+        if not (a.min() >= EPS_DEN and a.max() < np.inf):
             bad = int(np.argmin(self.denom_ok()))
             value = float(self.denom.flat[bad])
             cls = (DenominatorNearZero if math.isfinite(value)

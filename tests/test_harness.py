@@ -38,7 +38,7 @@ from periscore.model import (
     DemoModel,
     GradientTapRecord,
 )
-from periscore.scorefn import SIN_MAX, SOFTMAX
+from periscore.scorefn import SIN_MAX, SOFTMAX, NonFiniteDenominator
 
 
 def _rng(seed):
@@ -272,6 +272,58 @@ def test_non_finite_gradient_with_finite_loss_is_non_finite_grad(
     log = train(_config(steps=5))
     assert log.breakdown == Breakdown(step=1, cause="NonFiniteGrad")
     assert log.records == []
+
+
+def _blow_up_attention(model, factor=1e3):
+    # Raw scores of order 1e5 overflow softmax's unshifted exp.
+    for attn, _ in model.blocks:
+        attn.wq.data *= factor
+        attn.wk.data *= factor
+
+
+def test_softmax_overflow_in_training_is_a_score_error(monkeypatch):
+    cfg = _config(steps=5)
+    model = harness.tinynn.build_demo(cfg.demo, cfg.seed)
+    _blow_up_attention(model)
+    data = build_dataset(cfg.dataset, cfg.seed)
+    with pytest.raises(BreakdownSignal) as err:
+        model.forward(data.images[:8], step=1)
+    assert isinstance(err.value.cause, NonFiniteDenominator)
+
+    real_build = harness.tinynn.build_demo
+
+    def blown_up_build(demo, seed):
+        built = real_build(demo, seed)
+        _blow_up_attention(built)
+        return built
+
+    monkeypatch.setattr(harness.tinynn, "build_demo", blown_up_build)
+    log = train(cfg)
+    assert log.breakdown == Breakdown(step=1, cause="ScoreError")
+    assert log.records == []
+    assert log.final_eval_accuracy is None
+
+
+def test_score_error_in_final_eval_is_a_breakdown(monkeypatch):
+    # The last optimizer step leaves weights the eval forward cannot score.
+    built = []
+    real_build = harness.tinynn.build_demo
+    real_step = harness.Adam.step
+
+    def build(demo, seed):
+        built.append(real_build(demo, seed))
+        return built[-1]
+
+    def step_then_blow_up(self):
+        real_step(self)
+        _blow_up_attention(built[0])
+
+    monkeypatch.setattr(harness.tinynn, "build_demo", build)
+    monkeypatch.setattr(harness.Adam, "step", step_then_blow_up)
+    log = train(_config(steps=1))
+    assert [r.step for r in log.records] == [1]
+    assert log.breakdown == Breakdown(step=1, cause="ScoreError")
+    assert log.final_eval_accuracy is None
 
 
 def test_train_taps_fire_on_schedule():

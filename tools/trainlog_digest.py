@@ -14,13 +14,10 @@ Run it against two source trees and diff the outputs:
     PYTHONPATH=<old>/src python tools/trainlog_digest.py > old.txt
     PYTHONPATH=<new>/src python tools/trainlog_digest.py > new.txt
     diff old.txt new.txt
-
-`--sweep 0` skips the seed sweep (about 3 minutes on one core).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 
 from periscore import (
@@ -33,6 +30,8 @@ from periscore import (
 )
 from periscore.cli import default_demo_config
 from periscore.scorefn import ScoreFunctionKind
+
+SWEEP_SEEDS = 32
 
 # (label, tag, depth, prenorm, optimizer spec)
 CONFIGS = (
@@ -79,11 +78,7 @@ def _outcome(log):
     return f"acc {log.final_eval_accuracy:.4f}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sweep", type=int, default=32,
-                        help="cos-max d4 seeds to sweep (default 32)")
-    args = parser.parse_args(argv)
+def main():
     for label, tag, depth, prenorm, optimizer in CONFIGS:
         log = train(_config(ScoreFunctionKind(tag), depth, prenorm,
                             steps=150, seed=1, tap_every=50,
@@ -91,14 +86,13 @@ def main(argv=None):
         print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
               f"sha256 {_digest(log)}")
     broke = 0
-    for seed in range(args.sweep):
+    for seed in range(SWEEP_SEEDS):
         log = train(_config(COS_MAX, 4, False, steps=500, seed=seed))
         peak = max((r.grad_norm for r in log.records), default=0.0)
         broke += log.breakdown is not None
         print(f"cos-max d4 seed {seed:2d}: {_outcome(log)}, "
               f"peak grad norm {peak:.3g}, sha256 {_digest(log)}")
-    if args.sweep:
-        print(f"cos-max d4: {broke}/{args.sweep} broke down")
+    print(f"cos-max d4: {broke}/{SWEEP_SEEDS} broke down")
 
 
 if __name__ == "__main__":
