@@ -35,6 +35,10 @@ EPS_VAR = 1e-12  # row variance below this is a degenerate (constant) row
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 
+# submersion_curve scores at most this many elements per kernel call, so
+# its temporaries stay near 128 KiB whatever the row width.
+SUBMERSION_BLOCK = 16384
+
 
 class DegenerateRow(ValueError):
     """Raised when a row to be normalized has (near-)zero variance."""
@@ -88,36 +92,86 @@ class SaturationReport:
 def diag_gradient_fixed_m(kind, m, x):
     """Diagonal gradient M*f'(x)/(M+f(x))^2 with the off-sum held at M.
 
-    Vectorized; guard points (poles, near-zero denominators) come back
-    as NaN so curves can carry gaps instead of raising.
+    Vectorized, with m broadcasting against x; guard points (poles,
+    near-zero denominators) come back as NaN so curves can carry gaps
+    instead of raising.
     """
     x = np.asarray(x, dtype=np.float64)
     ok = ~pole_mask(kind, x)
     f, fp = f_and_fp(kind, np.where(ok, x, 0.0))
+    return _fixed_m_quotient(m, ok, f, fp())
+
+
+def _fixed_m_quotient(m, ok, f, fp):
+    """M*fp/(M+f)^2 where ok and |M+f| >= EPS_DEN, NaN elsewhere."""
     denom = m + f
-    ok &= np.abs(denom) >= EPS_DEN
-    out = np.full(x.shape, np.nan)
-    np.divide(m * fp(), denom ** 2, out=out, where=ok)
+    ok = ok & (np.abs(denom) >= EPS_DEN)
+    out = np.full(denom.shape, np.nan)
+    np.divide(m * fp, denom ** 2, out=out, where=ok)
     return out
 
 
-def _golden_refine(fun, lo, hi, tol=1e-10):
-    """Golden-section maximization of a unimodal fun on [lo, hi]."""
+def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
+    """Golden-section maximization of sign * diag_gradient_fixed_m(kind,
+    M, x) on [lo, hi], one search per element of the arrays, advanced in
+    lockstep; a non-finite gradient counts as -inf.  Each search takes
+    the steps it would take alone.  Returns each objective at the
+    midpoint of its final interval."""
+
+    def obj(i, x):
+        y = diag_gradient_fixed_m(kind, ms[i], x)
+        return np.where(np.isfinite(y), signs[i] * y, -np.inf)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = lo.copy(), hi.copy()
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+    every = np.arange(a.size)
+    fc, fd = obj(every, c), obj(every, d)
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = fc[live] >= fd[live]
+        i, j = live[left], live[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - invphi * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + invphi * (b[j] - a[j])
+        y = obj(live, np.where(left, c[live], d[live]))
+        fc[i], fd[j] = y[left], y[~left]
+    return obj(every, 0.5 * (a + b))
+
+
+def _extrema(kind, m_values, mode):
+    """extreme_diag_gradient for each M, as an array.
+
+    f and f' are evaluated on the grid once; each M's coarse pass reuses
+    them, and every (M, sign) search then refines its grid maximum in
+    one lockstep golden-section search.
+    """
+    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
+    ok = ~pole_mask(kind, xs)
+    f, fp = f_and_fp(kind, np.where(ok, xs, 0.0))
+    fp = fp()
+    ms = np.asarray(m_values, dtype=np.float64)
+    signs = np.array([1.0, -1.0] if mode == "abs"
+                     else [1.0 if mode == "max" else -1.0])
+    peak = np.full((ms.size, signs.size), np.nan)
+    at = np.zeros(peak.shape, dtype=np.intp)
+    for k, m in enumerate(ms):
+        ys = _fixed_m_quotient(m, ok, f, fp)
+        if np.any(np.isfinite(ys)):
+            for s, sign in enumerate(signs):
+                at[k, s] = np.nanargmax(sign * ys)
+                peak[k, s] = sign * ys[at[k, s]]
+    k, s = np.nonzero(~np.isnan(peak))
+    i = at[k, s]
+    best = _golden_refine(kind, ms[k], signs[s],
+                          xs[np.maximum(i - 1, 0)],
+                          xs[np.minimum(i + 1, xs.size - 1)])
+    peak[k, s] = signs[s] * np.where(peak[k, s] > best, peak[k, s], best)
+    if mode != "abs":
+        return peak[:, 0]
+    vmax, vmin = peak.T
+    return np.where(np.abs(vmax) >= np.abs(vmin), vmax, vmin)
 
 
 def extreme_diag_gradient(kind, m, mode="abs"):
@@ -127,32 +181,7 @@ def extreme_diag_gradient(kind, m, mode="abs"):
     or 'abs' (largest magnitude, sign preserved).  Returns NaN when the
     guards fire everywhere.
     """
-    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
-    ys = diag_gradient_fixed_m(kind, m, xs)
-    if not np.any(np.isfinite(ys)):
-        return float("nan")
-    if mode == "abs":
-        vmax = _refine_extremum(kind, m, xs, ys, 1.0)
-        vmin = _refine_extremum(kind, m, xs, ys, -1.0)
-        return vmax if abs(vmax) >= abs(vmin) else vmin
-    sign = 1.0 if mode == "max" else -1.0
-    return _refine_extremum(kind, m, xs, ys, sign)
-
-
-def _refine_extremum(kind, m, xs, ys, sign):
-    """Golden-section refinement of the grid's largest sign * ys."""
-
-    def obj(x):
-        y = float(diag_gradient_fixed_m(kind, m, np.array([x]))[0])
-        return sign * y if math.isfinite(y) else -math.inf
-
-    i = int(np.nanargmax(sign * ys))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-    xstar = _golden_refine(obj, lo, hi)
-    best = obj(xstar)
-    coarse = sign * float(ys[i])
-    return sign * max(best, coarse)
+    return float(_extrema(kind, [m], mode)[0])
 
 
 def softmax_extreme_gradient():
@@ -270,17 +299,11 @@ def extremum_vs_m_curve(kind, m_values):
     m_values = list(m_values)
     if not m_values:
         raise ValueError("m_values must be nonempty")
-    ys = []
-    skipped = 0
-    for m in m_values:
-        y = extreme_diag_gradient(kind, m, mode="abs")
-        if math.isnan(y):
-            skipped += 1
-        ys.append(abs(y) if not math.isnan(y) else math.nan)
+    ys = np.abs(_extrema(kind, m_values, "abs"))
     return CurveSeries(x_values=np.asarray(m_values, dtype=np.float64),
-                       y_values=np.asarray(ys),
+                       y_values=ys,
                        label=f"{kind.tag} extremum vs M",
-                       params={"skipped_m": skipped})
+                       params={"skipped_m": int(np.isnan(ys).sum())})
 
 
 def whiten_rows(x):
@@ -327,14 +350,18 @@ def submersion_curve(d_values, trials=1000, seed=7):
     """Mean max_j |S_j - 1/d| under Sin-max-constant for growing d.
 
     Quantifies how the constant term drowns inter-element differences.
+    Rows are scored in blocks of at most SUBMERSION_BLOCK elements.
     """
     ys = []
     for d in d_values:
+        if d < 2:
+            raise ValueError(f"submersion_curve requires d >= 2, got {d}")
         rows = seeded_rng(seed).normal(0.0, 1.0, size=(trials, d))
-        devs = []
-        for row in rows:
-            ev = scores(SIN_MAX_CONSTANT, row)
-            devs.append(float(np.max(np.abs(ev.scores - 1.0 / d))))
+        step = max(1, SUBMERSION_BLOCK // d)
+        devs = np.empty(trials)
+        for i in range(0, trials, step):
+            s = ScoreRows(SIN_MAX_CONSTANT, rows[i:i + step]).scores()
+            devs[i:i + step] = np.abs(s - 1.0 / d).max(axis=-1)
         ys.append(float(np.mean(devs)))
     return CurveSeries(x_values=np.asarray(d_values, dtype=np.float64),
                        y_values=np.asarray(ys),

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_DEN = 1e-8    # |denominator| below this raises DenominatorNearZero
+# |denominator| at or above this raises NonFiniteDenominator: the
+# gradients divide by denom ** 2, which would overflow.
+DEN_MAX = math.sqrt(np.finfo(np.float64).max)
 EPS_POLE = 1e-6   # (1 - sin x) below this is a Siren-max pole
 
 # Smallest 1 - sin(x) treated as distinct from the pole itself.  The
@@ -236,8 +239,8 @@ class ScoreRows:
     Construction rejects non-finite inputs.  pole="raise" also rejects
     siren-max inputs within EPS_POLE of the pole; pole="through"
     evaluates them (see _SIREN_FLOOR), which is what the training path
-    needs.  Near-zero and non-finite denominators are checked by
-    check_denominators(), which scores() runs.
+    needs.  Denominators that are near zero, non-finite or at least
+    DEN_MAX are checked by check_denominators(), which scores() runs.
     """
 
     def __init__(self, kind, x, pole="raise"):
@@ -255,21 +258,22 @@ class ScoreRows:
         self.denom = self.total - self.off + self.num
 
     def denom_ok(self):
-        """True where denom is finite with |denom| >= EPS_DEN."""
+        """True where EPS_DEN <= |denom| < DEN_MAX (so NaN is rejected)."""
         a = np.abs(self.denom)
-        return (a >= EPS_DEN) & (a < np.inf)
+        return (a >= EPS_DEN) & (a < DEN_MAX)
 
     def check_denominators(self):
         """Raise at the first denominator denom_ok() rejects.  A NaN fails
         the min() test; the mask is built only when the guard fires."""
         a = np.abs(self.denom)
-        if not (a.min() >= EPS_DEN and a.max() < np.inf):
+        if not (a.min() >= EPS_DEN and a.max() < DEN_MAX):
             bad = int(np.argmin(self.denom_ok()))
             value = float(self.denom.flat[bad])
-            cls = (DenominatorNearZero if math.isfinite(value)
+            cls = (DenominatorNearZero if abs(value) < EPS_DEN
                    else NonFiniteDenominator)
-            raise cls(f"denominator {value} at index {bad}: need a finite "
-                      f"|denom| >= {EPS_DEN}", index=bad, value=value)
+            raise cls(f"denominator {value} at index {bad}: need "
+                      f"{EPS_DEN} <= |denom| < {DEN_MAX}",
+                      index=bad, value=value)
 
     def scores(self):
         """S_j = num[j] / denom[j]."""

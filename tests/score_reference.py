@@ -5,11 +5,23 @@ Each kind's f and f' is written out on its own here, one branch per tag,
 with no sharing of intermediate values; the soft-margin kinds score
 element j at x_j - margin against the unshifted f of the rest of the row.
 Siren-max uses the plain formula, so inputs must stay off its pole.
+
+The extremum search and the submersion curve are kept here in their
+one-search-at-a-time, one-row-at-a-time form.
 """
+
+import math
 
 import numpy as np
 
-from periscore.scorefn import ScoreFunctionKind
+from periscore.analysis import GRID_RANGE, GRID_STEP
+from periscore.scorefn import (
+    EPS_DEN,
+    EPS_POLE,
+    SIN_MAX_CONSTANT,
+    ScoreFunctionKind,
+    seeded_rng,
+)
 
 # Non-default parameters, next to the eleven default kinds.
 EXTRA_KINDS = {
@@ -145,3 +157,73 @@ def ref_whiten_jacobian(x):
     sigma = np.sqrt(np.var(x))
     z = (x - x.mean()) / sigma
     return (np.eye(d) - np.ones((d, d)) / d - np.outer(z, z) / d) / sigma
+
+
+def ref_diag_gradient_fixed_m(kind, m, x):
+    """M f'(x) / (M + f(x))^2, NaN at a siren-max pole or where
+    |M + f(x)| < EPS_DEN."""
+    with np.errstate(all="ignore"):
+        f, fp = ref_f(kind, x), ref_fp(kind, x)
+        ok = np.abs(m + f) >= EPS_DEN
+        if kind.tag == "siren-max":
+            ok &= (1.0 - np.sin(x)) >= EPS_POLE
+        return np.where(ok, m * fp / (m + f) ** 2, np.nan)
+
+
+def _golden_refine(fun, lo, hi, tol=1e-10):
+    """Golden-section maximization of a unimodal fun on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def _refine_extremum(kind, m, xs, ys, sign):
+    """Golden-section refinement of the grid's largest sign * ys."""
+
+    def obj(x):
+        y = float(ref_diag_gradient_fixed_m(kind, m, np.array([x]))[0])
+        return sign * y if math.isfinite(y) else -math.inf
+
+    i = int(np.nanargmax(sign * ys))
+    lo = xs[max(i - 1, 0)]
+    hi = xs[min(i + 1, xs.size - 1)]
+    xstar = _golden_refine(obj, lo, hi)
+    best = obj(xstar)
+    coarse = sign * float(ys[i])
+    return sign * max(best, coarse)
+
+
+def ref_extreme_diag_gradient(kind, m, mode="abs"):
+    """Extremum of the fixed-M diagonal gradient: a grid over GRID_RANGE,
+    then one scalar golden-section search per sign."""
+    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
+    ys = ref_diag_gradient_fixed_m(kind, m, xs)
+    if not np.any(np.isfinite(ys)):
+        return float("nan")
+    if mode == "abs":
+        vmax = _refine_extremum(kind, m, xs, ys, 1.0)
+        vmin = _refine_extremum(kind, m, xs, ys, -1.0)
+        return vmax if abs(vmax) >= abs(vmin) else vmin
+    sign = 1.0 if mode == "max" else -1.0
+    return _refine_extremum(kind, m, xs, ys, sign)
+
+
+def ref_submersion(d, trials, seed):
+    """Mean max_j |S_j - 1/d| under Sin-max-constant, row by row."""
+    devs = []
+    for row in seeded_rng(seed).normal(0.0, 1.0, size=(trials, d)):
+        num, _, _, _, denom = ref_terms(SIN_MAX_CONSTANT, row)
+        devs.append(float(np.max(np.abs(num / denom - 1.0 / d))))
+    return float(np.mean(devs))

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from periscore.analysis import (
+    GRID_RANGE,
+    GRID_STEP,
+    SUBMERSION_BLOCK,
     CurveSeries,
     DegenerateRow,
+    _diag_entries_rows,
     cosmax_extremum_interval,
     diag_gradient_fixed_m,
     extreme_diag_gradient,
@@ -27,7 +31,9 @@ from periscore.analysis import (
     submersion_curve,
 )
 from periscore.scorefn import (
+    ALL_KINDS,
     COS_MAX,
+    DEN_MAX,
     SIN2_MAX,
     SIN_MAX_CONSTANT,
     SIN_SOFTMAX,
@@ -36,9 +42,22 @@ from periscore.scorefn import (
     DenominatorNearZero,
     PoleProximity,
     scores,
+    seeded_rng,
 )
 
-from score_reference import ref_whiten_jacobian
+from score_reference import (
+    EXTRA_KINDS,
+    kind_id,
+    ref_diag_gradient_fixed_m,
+    ref_extreme_diag_gradient,
+    ref_submersion,
+    ref_whiten_jacobian,
+)
+
+KINDS = list(ALL_KINDS) + list(EXTRA_KINDS.values())
+# Off-sums on both sides of every branch: negative, |M| < 1 where a
+# sign-indefinite f lets M + f(x) cross zero, M = 0, and large M.
+REF_M = (-3.0, -1.0, -0.5, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def _rng(seed):
@@ -53,6 +72,22 @@ def test_diag_gradient_matches_direct_formula():
     got = diag_gradient_fixed_m(SOFTMAX, 1.0, xs)
     want = np.exp(xs) / (1.0 + np.exp(xs)) ** 2
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_diag_gradient_is_bitwise_the_reference(kind):
+    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
+    for m in (-1.0, 0.5, 2.0):
+        assert np.array_equal(diag_gradient_fixed_m(kind, m, xs),
+                              ref_diag_gradient_fixed_m(kind, m, xs),
+                              equal_nan=True)
+    # An array of off-sums broadcasts against x, one M per point.
+    ms = np.linspace(-3.0, 10.0, xs.size)
+    idx = np.arange(0, xs.size, 997)
+    want = [ref_diag_gradient_fixed_m(kind, ms[i], xs[i:i + 1])[0]
+            for i in idx]
+    assert np.array_equal(diag_gradient_fixed_m(kind, ms, xs)[idx], want,
+                          equal_nan=True)
 
 
 def test_diag_gradient_guard_points_become_nan():
@@ -79,6 +114,40 @@ def test_extreme_modes_are_consistent():
     assert abs(vabs) == pytest.approx(max(abs(vmax), abs(vmin)), rel=1e-9)
     # Cos-max extrema come in symmetric pairs.
     assert vmin == pytest.approx(-vmax, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_extremum_search_is_bitwise_the_reference(kind):
+    for mode in ("max", "min", "abs"):
+        got = [extreme_diag_gradient(kind, m, mode) for m in REF_M]
+        want = [ref_extreme_diag_gradient(kind, m, mode) for m in REF_M]
+        assert np.array_equal(got, want, equal_nan=True), mode
+        if mode == "abs":
+            curve = extremum_vs_m_curve(kind, REF_M)
+            assert np.array_equal(curve.y_values, np.abs(want),
+                                  equal_nan=True)
+            assert curve.params["skipped_m"] == int(np.isnan(want).sum())
+
+
+def test_extremum_of_nan_off_sum_is_skipped():
+    curve = extremum_vs_m_curve(COS_MAX, [2.0, math.nan])
+    assert curve.y_values[0] == abs(ref_extreme_diag_gradient(COS_MAX, 2.0))
+    assert math.isnan(curve.y_values[1])
+    assert curve.params["skipped_m"] == 1
+    for mode in ("max", "min", "abs"):
+        assert math.isnan(extreme_diag_gradient(COS_MAX, math.nan, mode))
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_extremum_at_a_grid_edge_is_the_reference(mode):
+    # At M = 1e6 the softmax gradient rises across the whole grid (its
+    # peak is at x = ln M), so the search brackets the last grid point
+    # for "max" and the first for "min".
+    got = extreme_diag_gradient(SOFTMAX, 1e6, mode)
+    assert got == ref_extreme_diag_gradient(SOFTMAX, 1e6, mode)
+    edge = GRID_RANGE[1] if mode == "max" else GRID_RANGE[0]
+    want = diag_gradient_fixed_m(SOFTMAX, 1e6, np.array([edge]))[0]
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 # -- closed-form extremum results --------------------------------------
@@ -166,20 +235,52 @@ def test_saturation_counts_skipped_rows():
 
 def test_saturation_drops_rows_whose_denominator_overflows():
     # At input scale 300 the softmax row sum overflows in many rows, which
-    # makes those rows' denominators inf or NaN.
+    # makes those rows' denominators inf or NaN, or so large that their
+    # square overflows.
     rows = _rng(7).normal(0.0, 300.0, size=(200, 64))
     with np.errstate(over="ignore", invalid="ignore"):
         rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
                                   input_scale=300.0, epsilon=1e-4, seed=7)
-        overflow = int((~np.isfinite(np.exp(rows).sum(axis=1))).sum())
+        overflow = int((~(np.exp(rows).sum(axis=1) < DEN_MAX)).sum())
     assert overflow > 0
     assert rep.skipped_rows == overflow
     assert rep.sample_count == (200 - overflow) * 64
 
 
+def test_saturation_drops_rows_whose_denominator_square_overflows():
+    # At input scale 140 no row sum overflows, but 65 reach DEN_MAX, where
+    # denom ** 2 in the gradient would be inf and the entries NaN.
+    rows = seeded_rng(7).normal(0.0, 140.0, size=(200, 64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
+                                  input_scale=140.0, epsilon=1e-4, seed=7)
+        sums = np.exp(rows).sum(axis=1)
+        entries, skipped = _diag_entries_rows(SOFTMAX, rows)
+    assert np.all(np.isfinite(sums))
+    assert rep.skipped_rows == skipped == int((sums >= DEN_MAX).sum()) == 65
+    assert rep.sample_count == entries.size == 8640
+    assert not np.any(np.isnan(entries))
+
+
 def test_submersion_curve_decreases():
     curve = submersion_curve([4, 32], trials=100, seed=7)
     assert curve.y_values[1] < curve.y_values[0]
+
+
+@pytest.mark.parametrize("d, trials", [
+    (2, 7), (3, 5), (1000, 37), (20000, 3)])
+def test_submersion_curve_is_bitwise_the_reference(d, trials):
+    # 37 rows of width 1000 fill two blocks of 16 and a third of 5; a row
+    # wider than SUBMERSION_BLOCK is scored alone.
+    assert 1000 < SUBMERSION_BLOCK < 20000
+    for seed in (0, 7):
+        got = submersion_curve([d], trials=trials, seed=seed).y_values
+        assert np.array_equal(got, [ref_submersion(d, trials, seed)])
+
+
+def test_submersion_curve_rejects_rows_narrower_than_two():
+    with pytest.raises(ValueError):
+        submersion_curve([4, 1], trials=3)
 
 
 # -- curves and CSV ----------------------------------------------------

@@ -170,11 +170,15 @@ def test_near_zero_denominator_raises():
     (SOFTMAX, [800.0, 0.0], math.nan),
     (TAYLOR_SOFTMAX, [1e200, 0.0], math.nan),
     (SOFTMAX, [709.0, 709.0, 709.0], math.inf),
-], ids=["softmax-800", "taylor-softmax-1e200", "softmax-sum-overflows"])
+    (SOFTMAX, [460.0, 460.0], 2.0 * math.exp(460.0)),
+], ids=["softmax-800", "taylor-softmax-1e200", "softmax-sum-overflows",
+        "softmax-460-square-overflows"])
 def test_overflowing_f_raises_non_finite_denominator(kind, x, bad):
     # Where f(x_0) overflows, denom[0] = inf - inf + inf is NaN; where only
     # the row sum overflows, every denominator is inf and every score 0.
-    # A plain |denom| < EPS_DEN test fires on neither.
+    # At x = 460 the denominators are finite, but denom ** 2 in the
+    # gradient overflows and the Jacobian would be NaN.  A plain
+    # |denom| < EPS_DEN test fires on none of these.
     for fn in (scores, jacobian):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteDenominator) as exc:

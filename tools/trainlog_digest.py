@@ -5,6 +5,11 @@ For each config below it trains 150 steps at seed 1 with gradient taps
 every 50 steps and prints one line: the outcome and a SHA-256 over every
 step's loss, accuracy and gradient norm, every tap sample, the final
 eval accuracy and the breakdown, with floats written exactly (hex).
+The configs are the 8x8 synthetic task at several kinds and depths, and
+the benchmark's train-seq64 shape: sin-softmax depth 1 on 32x32x3
+CIFAR-format records from perfbench.workloads.cifar_records.  NumPy and
+BLAS choose code paths by array size, so bitwise equality on the 8x8
+configs does not carry over to 64-token rows.
 It then prints the cos-max depth-4 outcome of the acceptance gate 9
 config (500 steps) on seeds 0-31, one line per seed, and the count of
 breakdowns.
@@ -19,10 +24,15 @@ Run it against two source trees and diff the outputs:
 from __future__ import annotations
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 from periscore import (
     COS_MAX,
+    SIN_SOFTMAX,
     AdamSpec,
+    Cifar100Spec,
     SgdSpec,
     SyntheticSpec,
     TrainConfig,
@@ -30,6 +40,9 @@ from periscore import (
 )
 from periscore.cli import default_demo_config
 from periscore.scorefn import ScoreFunctionKind
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import CIFAR_RECORDS, cifar_records  # noqa: E402
 
 SWEEP_SEEDS = 32
 
@@ -78,13 +91,28 @@ def _outcome(log):
     return f"acc {log.final_eval_accuracy:.4f}"
 
 
+def _seq64_config(path):
+    demo = default_demo_config(SIN_SOFTMAX, 1, (32, 32, 3), False,
+                               "inv_dmodel", 100)
+    return TrainConfig(demo=demo, dataset=Cifar100Spec(path, CIFAR_RECORDS),
+                       optimizer=AdamSpec(), steps=150, seed=1,
+                       tap_every=50)
+
+
+def _print_run(label, log):
+    print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
+          f"sha256 {_digest(log)}")
+
+
 def main():
     for label, tag, depth, prenorm, optimizer in CONFIGS:
-        log = train(_config(ScoreFunctionKind(tag), depth, prenorm,
-                            steps=150, seed=1, tap_every=50,
-                            optimizer=optimizer))
-        print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
-              f"sha256 {_digest(log)}")
+        _print_run(label, train(_config(ScoreFunctionKind(tag), depth,
+                                        prenorm, steps=150, seed=1,
+                                        tap_every=50, optimizer=optimizer)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cifar.bin"
+        path.write_bytes(cifar_records(1))
+        _print_run("sin-softmax d1 32x32x3", train(_seq64_config(str(path))))
     broke = 0
     for seed in range(SWEEP_SEEDS):
         log = train(_config(COS_MAX, 4, False, steps=500, seed=seed))
