@@ -167,6 +167,8 @@ def _extrema(kind, m_values, mode):
     best = _golden_refine(kind, ms[k], signs[s],
                           xs[np.maximum(i - 1, 0)],
                           xs[np.minimum(i + 1, xs.size - 1)])
+    # The grid value wins only when strictly larger, so a tie keeps the
+    # refined value (and the sign of a zero) that the scalar search kept.
     peak[k, s] = signs[s] * np.where(peak[k, s] > best, peak[k, s], best)
     if mode != "abs":
         return peak[:, 0]
