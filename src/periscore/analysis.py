@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scorefn import (
-    EPS_DEN,
     SIN_MAX_CONSTANT,
-    DenominatorNearZero,
     JacobianMatrix,
     PoleProximity,
     ScoreFunctionKind,
     ScoreRows,
     _row,
+    check_denominators,
+    denom_ok,
     f_and_fp,
     jacobian,
     pole_mask,
@@ -103,9 +103,9 @@ def diag_gradient_fixed_m(kind, m, x):
 
 
 def _fixed_m_quotient(m, ok, f, fp):
-    """M*fp/(M+f)^2 where ok and |M+f| >= EPS_DEN, NaN elsewhere."""
+    """M*fp/(M+f)^2 where ok and denom_ok(M+f), NaN elsewhere."""
     denom = m + f
-    ok = ok & (np.abs(denom) >= EPS_DEN)
+    ok = ok & denom_ok(denom)
     out = np.full(denom.shape, np.nan)
     np.divide(m * fp, denom ** 2, out=out, where=ok)
     return out
@@ -228,8 +228,7 @@ def sin2max_extremum_location(m):
 
 def filter_gain(m, f_x):
     """Band-pass gain g(M) = M/(M + f(x_j))^2 coupling f' to dS_j/dx_j."""
-    if abs(m + f_x) < 1e-12:
-        raise DenominatorNearZero(f"M + f(x) = {m + f_x} too close to zero")
+    check_denominators(m + f_x)
     return m / (m + f_x) ** 2
 
 
@@ -255,7 +254,7 @@ def _diag_entries_rows(kind, rows):
     are dropped whole.
     """
     terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)])
-    live = terms.denom_ok().all(axis=-1)
+    live = denom_ok(terms.denom).all(axis=-1)
     return terms.diag()[live].ravel(), len(rows) - int(live.sum())
 
 
@@ -273,11 +272,16 @@ def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
                             skipped_rows=skipped)
 
 
-def gradient_curve(kind, m, x_min, x_max, steps):
-    """Fixed-M diagonal-gradient curve; guard points become NaN gaps."""
+def _curve_xs(x_min, x_max, steps):
+    """The x values of a curve, after checking its arguments."""
     if steps < 2 or not x_min < x_max:
         raise ValueError("need steps >= 2 and x_min < x_max")
-    xs = np.linspace(x_min, x_max, steps)
+    return np.linspace(x_min, x_max, steps)
+
+
+def gradient_curve(kind, m, x_min, x_max, steps):
+    """Fixed-M diagonal-gradient curve; guard points become NaN gaps."""
+    xs = _curve_xs(x_min, x_max, steps)
     ys = diag_gradient_fixed_m(kind, m, xs)
     return CurveSeries(x_values=xs, y_values=ys,
                        label=f"{kind.tag} diagonal gradient",
@@ -287,7 +291,9 @@ def gradient_curve(kind, m, x_min, x_max, steps):
 def prenorm_gradient_curve(kind, m, x_min, x_max, steps, d, var):
     """Fixed-M gradient of kind(norm(x)) with the whitening held at
     mean 0 and the given variance and row dimension."""
-    xs = np.linspace(x_min, x_max, steps)
+    if d < 2 or not var > 0:
+        raise ValueError("need d >= 2 and var > 0")
+    xs = _curve_xs(x_min, x_max, steps)
     sigma = math.sqrt(var)
     ys = diag_gradient_fixed_m(kind, m, xs / sigma) * (d - 1) / (d * sigma)
     return CurveSeries(x_values=xs, y_values=ys,
@@ -354,6 +360,8 @@ def submersion_curve(d_values, trials=1000, seed=7):
     Quantifies how the constant term drowns inter-element differences.
     Rows are scored in blocks of at most SUBMERSION_BLOCK elements.
     """
+    if trials < 1:
+        raise ValueError("submersion_curve requires trials >= 1")
     ys = []
     for d in d_values:
         if d < 2:

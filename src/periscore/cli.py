@@ -137,8 +137,7 @@ def default_demo_config(kind, depth, input_shape, prenorm, scale,
     attn = AttentionConfig(embed_dim=embed, num_heads=heads, score_kind=kind,
                            score_scale=scale, prenormalize=prenorm)
     return DemoConfig(depth=depth, attention=attn, patch_size=patch,
-                      input_shape=input_shape, mlp_ratio=2.0,
-                      num_classes=num_classes)
+                      input_shape=input_shape, num_classes=num_classes)
 
 
 def cmd_train(args):

@@ -1,4 +1,5 @@
-"""Training harness: datasets, the loop, breakdown detection, tap binning.
+"""Training harness: datasets, the loop, breakdown detection, gradient
+taps (sampling, serialization, binning).
 
 Breakdowns (non-finite loss, non-finite gradient, a score-function
 guard firing inside a block, or sustained gradient-norm runaway) end the
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import model as tinynn
 from .autodiff import cross_entropy, no_grad
-from .model import BreakdownSignal, DemoConfig, GradientTapRecord
+from .model import BreakdownSignal, DemoConfig
 from .scorefn import seeded_rng
 
 GRAD_RUNAWAY_NORM = 1e6
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.tap_every > 0 and self.tap_cap < 1:
+            raise ValueError("tap_cap must be >= 1 when taps are on")
 
 
 @dataclass
@@ -97,6 +100,14 @@ class TrainRunLog:
     breakdown: Breakdown | None = None
     final_eval_accuracy: float | None = None
     taps: list = field(default_factory=list)
+
+
+@dataclass
+class GradientTapRecord:
+    step: int
+    layer_index: int
+    samples: list  # of (input value, dL/d(input)) pairs
+    sample_cap: int
 
 
 @dataclass
@@ -274,6 +285,22 @@ def _eval_accuracy(model, data, idx, batch=64):
     return correct / idx.size if idx.size else float("nan")
 
 
+def _tap_sampler(cfg, step, records):
+    """A DemoModel.tap for one step: each call appends at most tap_cap
+    (x, grad) pairs to records, at sorted indices drawn in backward order
+    from seeded_rng(cfg.seed + step)."""
+    rng, cap = seeded_rng(cfg.seed + step), cfg.tap_cap
+
+    def tap(layer_index, xs, gs):
+        idx = np.arange(xs.size) if xs.size <= cap else np.sort(
+            rng.choice(xs.size, size=cap, replace=False))
+        records.append(GradientTapRecord(
+            step=step, layer_index=layer_index,
+            samples=[(float(xs[i]), float(gs[i])) for i in idx],
+            sample_cap=cap))
+    return tap
+
+
 def train(cfg):
     """Run the loop; failures become breakdown entries in the log."""
     data = build_dataset(cfg.dataset, cfg.seed)
@@ -287,10 +314,7 @@ def train(cfg):
         sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
                                replace=False)
         tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
-        if tapping:
-            model.enable_taps(cfg.tap_cap, cfg.seed + step)
-        else:
-            model.disable_taps()
+        model.tap = _tap_sampler(cfg, step, log.taps) if tapping else None
         model.zero_grad()
         try:
             logits = model.forward(data.images[sel], step=step)
@@ -303,8 +327,6 @@ def train(cfg):
         except BreakdownSignal:
             log.breakdown = Breakdown(step=step, cause="ScoreError")
             return log
-        if tapping:
-            log.taps.extend(model.drain_taps())
         grad_sq = 0.0
         for p in model.parameters():
             if p.grad is not None:

@@ -3,20 +3,23 @@
 A small LeViT-flavoured stack: linear patch embedding, `depth` blocks of
 [multi-head attention + GELU MLP, both residual], mean pooling, linear
 head.  The attention scores go through any of the eleven score-function
-kinds, optionally pre-normalized row-wise, and gradient taps can record
-(score input, gradient) pairs during backprop.
+kinds, optionally pre-normalized row-wise.  DemoModel.tap, when set, is
+handed each block's (score input, gradient) arrays during backprop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad, node, parameter
 from .analysis import DegenerateRow, whiten_rows, whiten_vjp
 from .scorefn import ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng
+
+MLP_RATIO = 2.0  # MLP hidden width per embedding dimension
 
 
 class BreakdownSignal(RuntimeError):
@@ -50,7 +53,6 @@ class DemoConfig:
     attention: AttentionConfig
     patch_size: int
     input_shape: tuple  # (H, W, C)
-    mlp_ratio: float = 2.0
     num_classes: int = 10
 
     def __post_init__(self):
@@ -59,14 +61,6 @@ class DemoConfig:
             raise ValueError("depth must be >= 1")
         if h % self.patch_size or w % self.patch_size:
             raise ValueError("input height/width must be divisible by patch_size")
-
-
-@dataclass
-class GradientTapRecord:
-    step: int
-    layer_index: int
-    samples: list  # of (input value, dL/d(input)) pairs
-    sample_cap: int
 
 
 # -- differentiable row ops -------------------------------------------
@@ -122,13 +116,12 @@ class AttentionBlock:
         self.bv = parameter(np.zeros(d))
         self.bo = parameter(np.zeros(d))
         self.last_scores = None   # (B, heads, n, n) numpy, after forward
-        self._tap_sink = None
 
     def parameters(self):
         return [self.wq, self.bq, self.wk, self.bk,
                 self.wv, self.bv, self.wo, self.bo]
 
-    def forward(self, x, step=None):
+    def forward(self, x, step=None, tap=None):
         cfg = self.cfg
         d, h = cfg.embed_dim, cfg.num_heads
         dh = d // h
@@ -142,10 +135,11 @@ class AttentionBlock:
         v = split(x @ self.wv + self.bv)
         scale = 1.0 / d if cfg.score_scale == "inv_dmodel" else 1.0 / math.sqrt(d)
         raw = (q @ k.transpose((0, 1, 3, 2))) * scale
+        sink = None if tap is None else partial(tap, self.layer_index)
         try:
             if cfg.prenormalize:
                 raw = normalize_rows(raw)
-            s = score_rows(raw, cfg.score_kind, tap_sink=self._tap_sink)
+            s = score_rows(raw, cfg.score_kind, tap_sink=sink)
         except (ScoreError, DegenerateRow) as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
         self.last_scores = s.data  # fresh array, never written in place
@@ -154,8 +148,8 @@ class AttentionBlock:
 
 
 class MlpBlock:
-    def __init__(self, dim, ratio, rng):
-        hidden = int(round(dim * ratio))
+    def __init__(self, dim, rng):
+        hidden = int(round(dim * MLP_RATIO))
         self.w1 = _linear_init(rng, dim, hidden)
         self.b1 = parameter(np.zeros(hidden))
         self.w2 = _linear_init(rng, hidden, dim)
@@ -181,16 +175,13 @@ class DemoModel:
         d = cfg.attention.embed_dim
         self.w_embed = _linear_init(rng, patch_dim, d)
         self.b_embed = parameter(np.zeros(d))
-        self.blocks = []
-        for i in range(cfg.depth):
-            self.blocks.append((AttentionBlock(cfg.attention, rng, i),
-                                MlpBlock(d, cfg.mlp_ratio, rng)))
+        self.blocks = [(AttentionBlock(cfg.attention, rng, i), MlpBlock(d, rng))
+                       for i in range(cfg.depth)]
         self.w_head = _linear_init(rng, d, cfg.num_classes)
         self.b_head = parameter(np.zeros(cfg.num_classes))
-        # Tap state, off by default.
-        self._tap_cap = 0
-        self._tap_rng = None
-        self.tap_records = []
+        # None, or tap(layer_index, xs, gs): called during backward with
+        # each block's flat score inputs and their gradients.
+        self.tap = None
 
     def parameters(self):
         params = [self.w_embed, self.b_embed]
@@ -216,44 +207,10 @@ class DemoModel:
     def forward(self, images, step=None):
         x = Tensor(self.patchify(images)) @ self.w_embed + self.b_embed
         for attn, mlp in self.blocks:
-            attn._tap_sink = self._make_tap_sink(attn.layer_index, step) \
-                if self._tap_cap else None
-            x = x + attn.forward(x, step=step)
+            x = x + attn.forward(x, step=step, tap=self.tap)
             x = x + mlp.forward(x)
         pooled = x.mean(axis=1)
         return pooled @ self.w_head + self.b_head
-
-    # -- taps ----------------------------------------------------------
-
-    def enable_taps(self, sample_cap, seed):
-        if sample_cap < 1:
-            raise ValueError("sample_cap must be >= 1")
-        self._tap_cap = sample_cap
-        self._tap_rng = seeded_rng(seed)
-        self.tap_records = []
-
-    def disable_taps(self):
-        self._tap_cap = 0
-        self._tap_rng = None
-
-    def drain_taps(self):
-        records, self.tap_records = self.tap_records, []
-        return records
-
-    def _make_tap_sink(self, layer_index, step):
-        def sink(xs, gs):
-            n = xs.size
-            if n <= self._tap_cap:
-                idx = np.arange(n)
-            else:
-                idx = np.sort(self._tap_rng.choice(n, size=self._tap_cap,
-                                                   replace=False))
-            self.tap_records.append(GradientTapRecord(
-                step=step if step is not None else -1,
-                layer_index=layer_index,
-                samples=[(float(xs[i]), float(gs[i])) for i in idx],
-                sample_cap=self._tap_cap))
-        return sink
 
 
 def build_demo(cfg, seed):

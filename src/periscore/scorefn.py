@@ -200,6 +200,26 @@ def _check_finite(x):
     return x
 
 
+def denom_ok(denom):
+    """True where EPS_DEN <= |denom| < DEN_MAX (so NaN is rejected)."""
+    a = np.abs(denom)
+    return (a >= EPS_DEN) & (a < DEN_MAX)
+
+
+def check_denominators(denom):
+    """Raise at the first denominator denom_ok() rejects.  A NaN fails
+    the min() test; the mask is built only when the guard fires."""
+    a = np.abs(denom)
+    if not (a.min() >= EPS_DEN and a.max() < DEN_MAX):
+        bad = int(np.argmin(denom_ok(denom)))
+        value = float(np.ravel(denom)[bad])
+        cls = (DenominatorNearZero if abs(value) < EPS_DEN
+               else NonFiniteDenominator)
+        raise cls(f"denominator {value} at index {bad}: need "
+                  f"{EPS_DEN} <= |denom| < {DEN_MAX}",
+                  index=bad, value=value)
+
+
 def _check_pole(kind, x):
     if kind.tag != "siren-max":
         return
@@ -239,8 +259,7 @@ class ScoreRows:
     Construction rejects non-finite inputs.  pole="raise" also rejects
     siren-max inputs within EPS_POLE of the pole; pole="through"
     evaluates them (see _SIREN_FLOOR), which is what the training path
-    needs.  Denominators that are near zero, non-finite or at least
-    DEN_MAX are checked by check_denominators(), which scores() runs.
+    needs.  scores() runs check_denominators() on denom.
     """
 
     def __init__(self, kind, x, pole="raise"):
@@ -257,27 +276,9 @@ class ScoreRows:
         self.total = self.off.sum(axis=-1, keepdims=True)
         self.denom = self.total - self.off + self.num
 
-    def denom_ok(self):
-        """True where EPS_DEN <= |denom| < DEN_MAX (so NaN is rejected)."""
-        a = np.abs(self.denom)
-        return (a >= EPS_DEN) & (a < DEN_MAX)
-
-    def check_denominators(self):
-        """Raise at the first denominator denom_ok() rejects.  A NaN fails
-        the min() test; the mask is built only when the guard fires."""
-        a = np.abs(self.denom)
-        if not (a.min() >= EPS_DEN and a.max() < DEN_MAX):
-            bad = int(np.argmin(self.denom_ok()))
-            value = float(self.denom.flat[bad])
-            cls = (DenominatorNearZero if abs(value) < EPS_DEN
-                   else NonFiniteDenominator)
-            raise cls(f"denominator {value} at index {bad}: need "
-                      f"{EPS_DEN} <= |denom| < {DEN_MAX}",
-                      index=bad, value=value)
-
     def scores(self):
         """S_j = num[j] / denom[j]."""
-        self.check_denominators()
+        check_denominators(self.denom)
         return self.num / self.denom
 
     def diag(self):
@@ -318,7 +319,7 @@ def jacobian(kind, x):
     off-diagonal from the quotient rule.
     """
     rows = ScoreRows(kind, _row(x, "jacobian"))
-    rows.check_denominators()
+    check_denominators(rows.denom)
     return JacobianMatrix(entries=rows.vjp(np.eye(rows.num.size)))
 
 

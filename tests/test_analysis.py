@@ -19,6 +19,7 @@ from periscore.analysis import (
     extremum_vs_m_curve,
     filter_gain,
     gradient_curve,
+    prenorm_gradient_curve,
     prenormed_jacobian,
     prenormed_scores,
     row_normalize,
@@ -40,6 +41,7 @@ from periscore.scorefn import (
     SIREN_MAX,
     SOFTMAX,
     DenominatorNearZero,
+    NonFiniteDenominator,
     PoleProximity,
     scores,
     seeded_rng,
@@ -138,6 +140,17 @@ def test_extremum_of_nan_off_sum_is_skipped():
         assert math.isnan(extreme_diag_gradient(COS_MAX, math.nan, mode))
 
 
+def test_extremum_of_an_off_sum_whose_square_overflows_is_skipped():
+    # (1e160 + f)^2 overflows, so every grid point is a guard point
+    # rather than M*f'/inf = 0.
+    assert 1e160 > DEN_MAX
+    curve = extremum_vs_m_curve(SOFTMAX, [1e160])
+    assert math.isnan(curve.y_values[0])
+    assert curve.params["skipped_m"] == 1
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert np.all(np.isnan(diag_gradient_fixed_m(SOFTMAX, 1e160, xs)))
+
+
 @pytest.mark.parametrize("mode", ["max", "min"])
 def test_extremum_at_a_grid_edge_is_the_reference(mode):
     # At M = 1e6 the softmax gradient rises across the whole grid (its
@@ -193,6 +206,17 @@ def test_filter_gain_peaks_where_f_matches_m():
     assert filter_gain(2.0, 1.0) < 0.25
     with pytest.raises(DenominatorNearZero):
         filter_gain(1.0, -1.0)
+
+
+def test_filter_gain_uses_the_kernel_denominator_bounds():
+    # 1e-10 is below EPS_DEN; before, only |M + f| < 1e-12 raised and
+    # this returned 1e20.
+    with pytest.raises(DenominatorNearZero):
+        filter_gain(1.0, -1.0 + 1e-10)
+    with pytest.raises(NonFiniteDenominator):
+        filter_gain(1e160, 0.0)
+    with pytest.raises(NonFiniteDenominator):
+        filter_gain(math.nan, 1.0)
 
 
 def test_sinmax_constant_expectations_shrink_with_dimension():
@@ -283,6 +307,13 @@ def test_submersion_curve_rejects_rows_narrower_than_two():
         submersion_curve([4, 1], trials=3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_submersion_curve_rejects_fewer_than_one_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            submersion_curve([4], trials=trials)
+
+
 # -- curves and CSV ----------------------------------------------------
 
 
@@ -290,6 +321,20 @@ def test_gradient_curve_has_gaps_at_guard_points():
     curve = gradient_curve(SIREN_MAX, 1.0, 0.0, math.pi, 101)
     assert curve.params["nan_points"] >= 1
     assert np.isnan(curve.y_values).sum() == curve.params["nan_points"]
+
+
+@pytest.mark.parametrize("args", [
+    dict(steps=1), dict(steps=0), dict(x_min=1.0), dict(x_min=math.nan),
+    dict(d=1), dict(d=0), dict(var=0.0), dict(var=-1.0), dict(var=math.nan),
+], ids=lambda a: "-".join(f"{k}={v}" for k, v in a.items()))
+def test_prenorm_gradient_curve_validates_arguments(args):
+    full = dict(x_min=-1.0, x_max=1.0, steps=11, d=16, var=1.0) | args
+    with pytest.raises(ValueError):
+        prenorm_gradient_curve(SOFTMAX, 1.0, **full)
+    if {"steps", "x_min"} >= args.keys():
+        with pytest.raises(ValueError):
+            gradient_curve(SOFTMAX, 1.0, full["x_min"], full["x_max"],
+                           full["steps"])
 
 
 def test_extremum_vs_m_curve_orders_values():

@@ -74,6 +74,30 @@ def test_curves_all_guard_points_exits_2(tmp_path):
     assert code == 2
 
 
+def test_curves_off_sum_whose_square_overflows_exits_2(tmp_path, capsys):
+    # Every point's (M + f)^2 overflows: a guard, not an all-zero curve.
+    out = tmp_path / "c.csv"
+    code = _run(["curves", "--fn", "softmax", "--m", "1e160",
+                 "--x-min", "-1", "--x-max", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: every point hit a guard"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "0"], ["--dim", "1"], ["--var", "-1"], ["--var", "0"],
+    ["--steps", "0"], ["--steps", "1"]], ids=" ".join)
+def test_curves_prenorm_bad_argument_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "c.csv"
+    code = _run(["curves", "--fn", "softmax", "--prenorm", "--x-min", "-1",
+                 "--x-max", "1", "--out", str(out)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: need ")
+    assert not out.exists()
+
+
 # -- gradcheck ---------------------------------------------------------
 
 

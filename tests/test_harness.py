@@ -13,6 +13,7 @@ from periscore.harness import (
     CifarFormatError,
     Dataset,
     GradientHistogram,
+    GradientTapRecord,
     Sgd,
     SgdSpec,
     StepRecord,
@@ -36,7 +37,6 @@ from periscore.model import (
     BreakdownSignal,
     DemoConfig,
     DemoModel,
-    GradientTapRecord,
 )
 from periscore.scorefn import SIN_MAX, SOFTMAX, NonFiniteDenominator
 
@@ -331,6 +331,28 @@ def test_train_taps_fire_on_schedule():
     steps = sorted({rec.step for rec in log.taps})
     assert steps == [3, 6]
     assert all(len(rec.samples) <= 7 for rec in log.taps)
+
+
+def test_train_taps_run_in_backward_order():
+    # Backward reaches the last block first, so each tapped step lists
+    # layer 1 before layer 0.
+    log = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
+    assert [(r.step, r.layer_index) for r in log.taps] == [
+        (2, 1), (2, 0), (4, 1), (4, 0)]
+    assert all(len(r.samples) == 5 and r.sample_cap == 5 for r in log.taps)
+
+
+def test_train_taps_are_deterministic():
+    a = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
+    b = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
+    assert [r.samples for r in a.taps] == [r.samples for r in b.taps]
+    assert len(a.taps) == 4
+
+
+def test_tap_cap_must_be_positive_when_taps_are_on():
+    with pytest.raises(ValueError, match="tap_cap"):
+        _config(tap_every=1, tap_cap=0)
+    assert _config(tap_every=0, tap_cap=0).tap_cap == 0
 
 
 def test_config_validation():

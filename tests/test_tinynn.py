@@ -17,6 +17,7 @@ from periscore.model import (
     score_rows,
 )
 from periscore.analysis import DegenerateRow
+from periscore.harness import SyntheticSpec, TrainConfig, _tap_sampler
 from periscore.scorefn import (
     ALL_KINDS,
     SIN_MAX,
@@ -311,30 +312,41 @@ def test_non_finite_input_becomes_breakdown_signal():
 # -- gradient taps -----------------------------------------------------
 
 
+def _sampler(cap, seed, step, records):
+    # The harness's per-step tap: at most `cap` samples per block, drawn
+    # from seeded_rng(seed + step).
+    cfg = TrainConfig(demo=_demo_config(), dataset=SyntheticSpec(),
+                      seed=seed, tap_every=1, tap_cap=cap)
+    return _tap_sampler(cfg, step, records)
+
+
 def test_taps_record_scores_inputs_and_gradients():
     model = build_demo(_demo_config(depth=2), seed=6)
-    model.enable_taps(sample_cap=10, seed=0)
+    records = []
+    model.tap = _sampler(cap=10, seed=0, step=3, records=records)
     images = _rng(13).normal(size=(2, 8, 8, 1))
     loss = cross_entropy(model.forward(images, step=3), np.array([0, 1]))
     loss.backward()
-    records = model.drain_taps()
     assert len(records) == 2  # one per attention block
     assert {r.layer_index for r in records} == {0, 1}
     for rec in records:
         assert rec.step == 3
         assert len(rec.samples) == 10  # cap < 2*16*16 available entries
         assert all(np.isfinite(v) for pair in rec.samples for v in pair)
-    assert model.drain_taps() == []
+    model.tap = None
+    cross_entropy(model.forward(images), np.array([0, 1])).backward()
+    assert len(records) == 2
 
 
 def test_taps_are_deterministic_given_seed():
     def run():
         model = build_demo(_demo_config(), seed=6)
-        model.enable_taps(sample_cap=5, seed=42)
+        records = []
+        model.tap = _sampler(cap=5, seed=41, step=1, records=records)
         images = _rng(14).normal(size=(1, 8, 8, 1))
         cross_entropy(model.forward(images, step=1),
                       np.array([2])).backward()
-        return model.drain_taps()
+        return records
 
     a, b = run(), run()
     assert [r.samples for r in a] == [r.samples for r in b]
@@ -342,8 +354,23 @@ def test_taps_are_deterministic_given_seed():
 
 def test_disabled_taps_record_nothing():
     model = build_demo(_demo_config(), seed=6)
-    model.enable_taps(sample_cap=5, seed=0)
-    model.disable_taps()
+    records = []
+    model.tap = _sampler(cap=5, seed=0, step=1, records=records)
+    model.tap = None
     images = _rng(15).normal(size=(1, 8, 8, 1))
     cross_entropy(model.forward(images), np.array([0])).backward()
-    assert model.drain_taps() == []
+    assert records == []
+
+
+def test_tap_hook_receives_each_blocks_score_inputs_and_gradients():
+    # Backward reaches the last block first; every score input of a
+    # block arrives once, flat, with its gradient.
+    model = build_demo(_demo_config(depth=2), seed=6)
+    calls = []
+    model.tap = lambda layer, xs, gs: calls.append((layer, xs, gs))
+    images = _rng(16).normal(size=(2, 8, 8, 1))
+    cross_entropy(model.forward(images), np.array([0, 1])).backward()
+    assert [layer for layer, _, _ in calls] == [1, 0]
+    for _, xs, gs in calls:
+        assert xs.shape == gs.shape == (2 * 2 * 16 * 16,)
+        assert np.all(np.isfinite(gs)) and np.any(gs != 0.0)
