@@ -274,8 +274,8 @@ def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
 
 def _curve_xs(x_min, x_max, steps):
     """The x values of a curve, after checking its arguments."""
-    if steps < 2 or not x_min < x_max:
-        raise ValueError("need steps >= 2 and x_min < x_max")
+    if steps < 2 or not -math.inf < x_min < x_max < math.inf:
+        raise ValueError("need steps >= 2 and finite x_min < x_max")
     return np.linspace(x_min, x_max, steps)
 
 
@@ -291,8 +291,8 @@ def gradient_curve(kind, m, x_min, x_max, steps):
 def prenorm_gradient_curve(kind, m, x_min, x_max, steps, d, var):
     """Fixed-M gradient of kind(norm(x)) with the whitening held at
     mean 0 and the given variance and row dimension."""
-    if d < 2 or not var > 0:
-        raise ValueError("need d >= 2 and var > 0")
+    if d < 2 or not 0 < var < math.inf:
+        raise ValueError("need d >= 2 and 0 < var < inf")
     xs = _curve_xs(x_min, x_max, steps)
     sigma = math.sqrt(var)
     ys = diag_gradient_fixed_m(kind, m, xs / sigma) * (d - 1) / (d * sigma)

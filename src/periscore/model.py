@@ -175,8 +175,8 @@ class DemoModel:
         d = cfg.attention.embed_dim
         self.w_embed = _linear_init(rng, patch_dim, d)
         self.b_embed = parameter(np.zeros(d))
-        self.blocks = [(AttentionBlock(cfg.attention, rng, i), MlpBlock(d, rng))
-                       for i in range(cfg.depth)]
+        self.blocks = [(AttentionBlock(cfg.attention, rng, i),
+                        MlpBlock(d, rng)) for i in range(cfg.depth)]
         self.w_head = _linear_init(rng, d, cfg.num_classes)
         self.b_head = parameter(np.zeros(cfg.num_classes))
         # None, or tap(layer_index, xs, gs): called during backward with

@@ -325,13 +325,15 @@ def test_gradient_curve_has_gaps_at_guard_points():
 
 @pytest.mark.parametrize("args", [
     dict(steps=1), dict(steps=0), dict(x_min=1.0), dict(x_min=math.nan),
+    dict(x_min=-math.inf), dict(x_max=math.inf),
     dict(d=1), dict(d=0), dict(var=0.0), dict(var=-1.0), dict(var=math.nan),
+    dict(var=math.inf),
 ], ids=lambda a: "-".join(f"{k}={v}" for k, v in a.items()))
-def test_prenorm_gradient_curve_validates_arguments(args):
+def test_gradient_curves_validate_arguments(args):
     full = dict(x_min=-1.0, x_max=1.0, steps=11, d=16, var=1.0) | args
     with pytest.raises(ValueError):
         prenorm_gradient_curve(SOFTMAX, 1.0, **full)
-    if {"steps", "x_min"} >= args.keys():
+    if {"steps", "x_min", "x_max"} >= args.keys():
         with pytest.raises(ValueError):
             gradient_curve(SOFTMAX, 1.0, full["x_min"], full["x_max"],
                            full["steps"])

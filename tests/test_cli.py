@@ -87,6 +87,7 @@ def test_curves_off_sum_whose_square_overflows_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--dim", "0"], ["--dim", "1"], ["--var", "-1"], ["--var", "0"],
+    ["--var", "inf"], ["--x-max", "inf"],
     ["--steps", "0"], ["--steps", "1"]], ids=" ".join)
 def test_curves_prenorm_bad_argument_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "c.csv"
