@@ -28,9 +28,9 @@ from .scorefn import (
     pole_mask,
     scores,
     seeded_rng,
+    whiten_rows,
+    whiten_vjp,
 )
-
-EPS_VAR = 1e-12  # row variance below this is a degenerate (constant) row
 
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
@@ -38,10 +38,6 @@ GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 # submersion_curve scores at most this many elements per kernel call, so
 # its temporaries stay near 128 KiB whatever the row width.
 SUBMERSION_BLOCK = 16384
-
-
-class DegenerateRow(ValueError):
-    """Raised when a row to be normalized has (near-)zero variance."""
 
 
 @dataclass
@@ -107,8 +103,8 @@ def _fixed_m_quotient(m, ok, f, fp):
     denom = m + f
     ok = ok & denom_ok(denom)
     out = np.full(denom.shape, np.nan)
-    np.divide(m * fp, denom ** 2, out=out, where=ok)
-    return out
+    np.square(denom, out=out, where=ok)
+    return np.divide(m * fp, out, out=out, where=ok)
 
 
 def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
@@ -312,24 +308,6 @@ def extremum_vs_m_curve(kind, m_values):
                        y_values=ys,
                        label=f"{kind.tag} extremum vs M",
                        params={"skipped_m": int(np.isnan(ys).sum())})
-
-
-def whiten_rows(x):
-    """(z, sigma): z = (x - mean) / sigma along the last axis, sigma the
-    population std; DegenerateRow where a row's variance is <= EPS_VAR."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    if np.any(var <= EPS_VAR):
-        raise DegenerateRow(f"row variance {var.min()} <= {EPS_VAR}")
-    sigma = np.sqrt(var)
-    return (x - mu) / sigma, sigma
-
-
-def whiten_vjp(z, sigma, g):
-    """Gradient of sum(g * z) in x, for (z, sigma) = whiten_rows(x); g = I
-    gives a row's Jacobian (I - 11^T/d - z z^T/d) / sigma."""
-    return (g - g.mean(axis=-1, keepdims=True)
-            - z * (g * z).mean(axis=-1, keepdims=True)) / sigma
 
 
 def row_normalize(x):

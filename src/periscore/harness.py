@@ -292,6 +292,7 @@ def _tap_sampler(cfg, step, records):
     rng, cap = seeded_rng(cfg.seed + step), cfg.tap_cap
 
     def tap(layer_index, xs, gs):
+        xs, gs = xs.ravel(), gs.ravel()
         idx = np.arange(xs.size) if xs.size <= cap else np.sort(
             rng.choice(xs.size, size=cap, replace=False))
         records.append(GradientTapRecord(

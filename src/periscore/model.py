@@ -16,14 +16,14 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tensor, no_grad, node, parameter
-from .analysis import DegenerateRow, whiten_rows, whiten_vjp
-from .scorefn import ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng
+from .scorefn import (ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng,
+                      whiten_rows, whiten_vjp)
 
 MLP_RATIO = 2.0  # MLP hidden width per embedding dimension
 
 
 class BreakdownSignal(RuntimeError):
-    """A ScoreError (or degenerate prenorm row) inside an attention block."""
+    """A ScoreError (any guard failure) inside an attention block."""
 
     def __init__(self, cause, layer_index, step=None):
         super().__init__(f"layer {layer_index}, step {step}: {cause}")
@@ -71,18 +71,18 @@ def score_rows(t, kind, tap_sink=None):
 
     Guard violations raise the usual ScoreError subclasses at forward
     time.  Unlike the scalar kernels, siren-max is evaluated through its
-    pole (ScoreRows with pole="through"): the normalized score and its
+    pole (ScoreRows with through_pole=True): the normalized score and its
     gradient stay finite and smooth there, so training need not abort.
-    tap_sink, when given, is called during backward with the flat
+    tap_sink, when given, is called during backward with the row-shaped
     (inputs, gradients) arrays of this call site.
     """
     x = t.data
-    rows = ScoreRows(kind, x, pole="through")
+    rows = ScoreRows(kind, x, through_pole=True)
 
     def back(g):
         gx = rows.vjp(g)
         if tap_sink is not None:
-            tap_sink(x.ravel(), gx.ravel())
+            tap_sink(x, gx)
         return ((t, gx),)
 
     return node(rows.scores(), (t,), back)
@@ -140,7 +140,7 @@ class AttentionBlock:
             if cfg.prenormalize:
                 raw = normalize_rows(raw)
             s = score_rows(raw, cfg.score_kind, tap_sink=sink)
-        except (ScoreError, DegenerateRow) as err:
+        except ScoreError as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
         self.last_scores = s.data  # fresh array, never written in place
         out = (s @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
@@ -180,7 +180,7 @@ class DemoModel:
         self.w_head = _linear_init(rng, d, cfg.num_classes)
         self.b_head = parameter(np.zeros(cfg.num_classes))
         # None, or tap(layer_index, xs, gs): called during backward with
-        # each block's flat score inputs and their gradients.
+        # each block's score inputs and their gradients, row-shaped.
         self.tap = None
 
     def parameters(self):

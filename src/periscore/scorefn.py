@@ -1,4 +1,4 @@
-"""Score-function kernels.
+"""Score-function kernels, their guards, and row whitening.
 
 A score function maps a real vector x to a probability-like vector via
 S_j = f(x_j) / sum_i f(x_i).  Softmax is the special case f = exp; the
@@ -20,10 +20,11 @@ EPS_DEN = 1e-8    # |denominator| below this raises DenominatorNearZero
 # gradients divide by denom ** 2, which would overflow.
 DEN_MAX = math.sqrt(np.finfo(np.float64).max)
 EPS_POLE = 1e-6   # (1 - sin x) below this is a Siren-max pole
+EPS_VAR = 1e-12   # row variance at or below this raises DegenerateRow
 
 # Smallest 1 - sin(x) treated as distinct from the pole itself.  The
 # normalized siren-max score is a smooth rational function of sin(x)
-# right through sin(x) = 1, so pole="through" evaluates it directly; this
+# right through sin(x) = 1, so through_pole=True evaluates it directly; this
 # floor only stops the literal 0-divide when sin(x) rounds to 1.0.  A
 # nonzero 1 - sin(x) is at least 2**-53, so the floor changes no other
 # value.
@@ -84,7 +85,6 @@ _F_FP = {
     "sin-softmax": _sin_softmax,
     "siren-max": _siren,
 }
-_TAGS = tuple(_F_FP)
 
 
 class ScoreError(ValueError):
@@ -112,6 +112,10 @@ class NonFiniteDenominator(ScoreError):
     pass
 
 
+class DegenerateRow(ScoreError):
+    """A row to be whitened has (near-)zero variance."""
+
+
 @dataclass(frozen=True)
 class ScoreFunctionKind:
     """Tagged choice of one of the eleven score functions.
@@ -128,30 +132,16 @@ class ScoreFunctionKind:
     def __post_init__(self):
         if self.tag not in _F_FP:
             raise ValueError(f"unknown score-function tag {self.tag!r}")
-        if self.tag in ("taylor-softmax", "sm-taylor-softmax"):
-            if self.taylor_order < 1:
-                raise ValueError("taylor_order must be a positive integer")
+        if _F_FP[self.tag] is _taylor and self.taylor_order < 1:
+            raise ValueError("taylor_order must be a positive integer")
         if self.tag in _MARGIN_TAGS and self.margin < 0:
             raise ValueError("margin must be >= 0")
 
 
-SOFTMAX = ScoreFunctionKind("softmax")
-TAYLOR_SOFTMAX = ScoreFunctionKind("taylor-softmax")
-SM_SOFTMAX = ScoreFunctionKind("sm-softmax")
-SM_TAYLOR_SOFTMAX = ScoreFunctionKind("sm-taylor-softmax")
-SIN_MAX_CONSTANT = ScoreFunctionKind("sin-max-constant")
-SIN_MAX = ScoreFunctionKind("sin-max")
-COS_MAX = ScoreFunctionKind("cos-max")
-SIN2_MAX = ScoreFunctionKind("sin2-max")
-SIN2_MAX_SHIFTED = ScoreFunctionKind("sin2-max-shifted")
-SIN_SOFTMAX = ScoreFunctionKind("sin-softmax")
-SIREN_MAX = ScoreFunctionKind("siren-max")
-
-ALL_KINDS = (
-    SOFTMAX, TAYLOR_SOFTMAX, SM_SOFTMAX, SM_TAYLOR_SOFTMAX,
-    SIN_MAX_CONSTANT, SIN_MAX, COS_MAX, SIN2_MAX, SIN2_MAX_SHIFTED,
-    SIN_SOFTMAX, SIREN_MAX,
-)
+ALL_KINDS = tuple(ScoreFunctionKind(tag) for tag in _F_FP)
+(SOFTMAX, TAYLOR_SOFTMAX, SM_SOFTMAX, SM_TAYLOR_SOFTMAX, SIN_MAX_CONSTANT,
+ SIN_MAX, COS_MAX, SIN2_MAX, SIN2_MAX_SHIFTED, SIN_SOFTMAX,
+ SIREN_MAX) = ALL_KINDS
 
 
 @dataclass
@@ -256,17 +246,15 @@ class ScoreRows:
     denominator denom[j] = total - off[j] + num[j] = M_j + num[j], where
     M_j is the off-sum of the other elements.
 
-    Construction rejects non-finite inputs.  pole="raise" also rejects
-    siren-max inputs within EPS_POLE of the pole; pole="through"
-    evaluates them (see _SIREN_FLOOR), which is what the training path
-    needs.  scores() runs check_denominators() on denom.
+    Construction rejects non-finite inputs, and siren-max inputs within
+    EPS_POLE of the pole unless through_pole, which evaluates them (see
+    _SIREN_FLOOR) as the training path needs.  scores() runs
+    check_denominators() on denom.
     """
 
-    def __init__(self, kind, x, pole="raise"):
-        if pole not in ("raise", "through"):
-            raise ValueError(f"pole must be 'raise' or 'through': {pole!r}")
+    def __init__(self, kind, x, through_pole=False):
         x = _check_finite(x)
-        if pole == "raise":
+        if not through_pole:
             _check_pole(kind, x)
         self.num, self._fp = f_and_fp(kind, x)
         if kind.tag in _MARGIN_TAGS:
@@ -337,3 +325,25 @@ def finite_diff_jacobian(kind, x, h=1e-5):
     steps = h * np.eye(d)
     s = ScoreRows(kind, np.concatenate([x + steps, x - steps])).scores()
     return JacobianMatrix(entries=(s[:d] - s[d:]).T / (2.0 * h))
+
+
+def whiten_rows(x):
+    """(z, sigma): z = (x - mean) / sigma along the last axis, sigma the
+    population std.  DegenerateRow at the first row (flat row index)
+    whose variance is <= EPS_VAR, with that variance as its value."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    if np.any(var <= EPS_VAR):
+        bad = int(np.argmax(np.ravel(var <= EPS_VAR)))
+        value = float(np.ravel(var)[bad])
+        raise DegenerateRow(f"row {bad} variance {value} <= {EPS_VAR}",
+                            index=bad, value=value)
+    sigma = np.sqrt(var)
+    return (x - mu) / sigma, sigma
+
+
+def whiten_vjp(z, sigma, g):
+    """Gradient of sum(g * z) in x, for (z, sigma) = whiten_rows(x); g = I
+    gives a row's Jacobian (I - 11^T/d - z z^T/d) / sigma."""
+    return (g - g.mean(axis=-1, keepdims=True)
+            - z * (g * z).mean(axis=-1, keepdims=True)) / sigma

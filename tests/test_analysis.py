@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from periscore.analysis import (
     GRID_STEP,
     SUBMERSION_BLOCK,
     CurveSeries,
-    DegenerateRow,
     _diag_entries_rows,
     cosmax_extremum_interval,
     diag_gradient_fixed_m,
@@ -40,6 +40,7 @@ from periscore.scorefn import (
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
+    DegenerateRow,
     DenominatorNearZero,
     NonFiniteDenominator,
     PoleProximity,
@@ -321,6 +322,19 @@ def test_gradient_curve_has_gaps_at_guard_points():
     curve = gradient_curve(SIREN_MAX, 1.0, 0.0, math.pi, 101)
     assert curve.params["nan_points"] >= 1
     assert np.isnan(curve.y_values).sum() == curve.params["nan_points"]
+
+
+def test_off_sum_whose_square_overflows_is_a_silent_guard_point():
+    # Only denominators that pass the guard are squared, so M = 1e160
+    # gives NaN points without numpy's overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = gradient_curve(SOFTMAX, 1e160, -1.0, 1.0, 5)
+        ys = diag_gradient_fixed_m(SOFTMAX, np.array([[1e160], [1.0]]),
+                                   np.linspace(-1.0, 1.0, 5))
+    assert np.all(np.isnan(curve.y_values))
+    assert np.all(np.isnan(ys[0])) and np.all(np.isfinite(ys[1]))
+    assert curve.params["nan_points"] == 5
 
 
 @pytest.mark.parametrize("args", [

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from periscore import scorefn
 from periscore.cli import main
+from periscore.scorefn import DenominatorNearZero
 
 
 def _run(argv):
@@ -120,6 +122,23 @@ def test_gradcheck_bad_dim_exits_1():
     assert _run(["gradcheck", "--fn", "softmax", "--dim", "1"]) == 1
 
 
+def test_gradcheck_without_trials_exits_1(capsys):
+    # Zero trials would check nothing, so they cannot PASS.
+    assert _run(["gradcheck", "--fn", "softmax", "--trials", "0"]) == 1
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_gradcheck_kind_whose_every_trial_hit_a_guard_fails(monkeypatch,
+                                                             capsys):
+    def guarded(kind, x):
+        raise DenominatorNearZero("stub guard", index=0, value=0.0)
+
+    monkeypatch.setattr(scorefn, "jacobian", guarded)
+    assert _run(["gradcheck", "--fn", "softmax", "--trials", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "skipped   3" in out and "FAIL" in out and "PASS" not in out
+
+
 # -- analyze -----------------------------------------------------------
 
 
@@ -132,6 +151,19 @@ def test_analyze_saturation_report(tmp_path):
     assert len(lines) == 12  # header + all 11 kinds
     rows = {l.split(",")[0]: float(l.split(",")[1]) for l in lines[1:]}
     assert rows["softmax"] > 5 * rows["sin-softmax"]
+
+
+def test_analyze_extremum_vs_m_report(tmp_path):
+    out = tmp_path / "ext.csv"
+    assert _run(["analyze", "--report", "extremum-vs-m",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "kind,m,extremum"
+    assert len(lines) == 1 + 11 * 5  # every kind at five values of M
+    rows = {(l.split(",")[0], float(l.split(",")[1])): l.split(",")[2]
+            for l in lines[1:]}
+    assert len(rows) == 55
+    assert float(rows[("softmax", 1.0)]) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_analyze_submersion_report(tmp_path):
@@ -197,6 +229,15 @@ def test_train_bad_dataset_string_exits_1(tmp_path):
                  "--out", str(tmp_path / "run.jsonl")]) == 1
 
 
+def test_train_malformed_cifar_dataset_string_exits_1(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax",
+                 "--dataset", f"cifar100:{tmp_path}/data.bin",
+                 "--out", str(out)]) == 1
+    assert "cifar100:<path>:<subset>" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_taps_pipeline(tmp_path):
     run = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "sin-softmax", "--steps", "4",
@@ -219,6 +260,15 @@ def test_taps_without_sidecar_exits_1(tmp_path):
     run.write_text("{}\n")
     assert _run(["taps", "--run", str(run),
                  "--out", str(tmp_path / "h.csv")]) == 1
+
+
+def test_taps_empty_sidecar_exits_1(tmp_path, capsys):
+    run = tmp_path / "run.jsonl"
+    (tmp_path / "run.jsonl.taps.jsonl").write_text("")
+    assert _run(["taps", "--run", str(run),
+                 "--out", str(tmp_path / "h.csv")]) == 1
+    assert capsys.readouterr().err == "error: run has no taps\n"
+    assert not (tmp_path / "h.csv").exists()
 
 
 @pytest.mark.parametrize("record", [

@@ -274,6 +274,24 @@ def test_non_finite_gradient_with_finite_loss_is_non_finite_grad(
     assert log.records == []
 
 
+def test_non_finite_loss_is_a_breakdown(monkeypatch):
+    # A head this large overflows the logits to inf after the attention
+    # blocks have scored their rows, so the loss is NaN, not a ScoreError.
+    real_build = harness.tinynn.build_demo
+
+    def huge_head_build(demo, seed):
+        built = real_build(demo, seed)
+        built.w_head.data *= 1e308
+        return built
+
+    monkeypatch.setattr(harness.tinynn, "build_demo", huge_head_build)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = train(_config(steps=5))
+    assert log.breakdown == Breakdown(step=1, cause="NonFiniteLoss")
+    assert log.records == []
+    assert log.final_eval_accuracy is None
+
+
 def _blow_up_attention(model, factor=1e3):
     # Raw scores of order 1e5 overflow softmax's unshifted exp.
     for attn, _ in model.blocks:

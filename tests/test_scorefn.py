@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from periscore import scorefn
 from periscore.scorefn import (
     ALL_KINDS,
     EPS_DEN,
     EPS_POLE,
+    EPS_VAR,
     SIN2_MAX,
     SIN2_MAX_SHIFTED,
     SIN_MAX,
@@ -17,10 +19,12 @@ from periscore.scorefn import (
     SM_SOFTMAX,
     SOFTMAX,
     TAYLOR_SOFTMAX,
+    DegenerateRow,
     DenominatorNearZero,
     NonFiniteDenominator,
     NonFiniteInput,
     PoleProximity,
+    ScoreError,
     ScoreFunctionKind,
     f_and_fp,
     finite_diff_jacobian,
@@ -29,6 +33,7 @@ from periscore.scorefn import (
     jacobian,
     pole_mask,
     scores,
+    whiten_rows,
 )
 
 from score_reference import (
@@ -58,6 +63,33 @@ def test_invalid_parameters_rejected():
         ScoreFunctionKind("taylor-softmax", taylor_order=0)
     with pytest.raises(ValueError):
         ScoreFunctionKind("sm-softmax", margin=-0.5)
+
+
+def test_taylor_order_is_checked_on_both_taylor_kinds_only():
+    with pytest.raises(ValueError):
+        ScoreFunctionKind("sm-taylor-softmax", taylor_order=0)
+    for kind in ALL_KINDS:
+        if kind.tag not in ("taylor-softmax", "sm-taylor-softmax"):
+            ScoreFunctionKind(kind.tag, taylor_order=0)
+
+
+@pytest.mark.parametrize("name, tag", [
+    ("SOFTMAX", "softmax"),
+    ("TAYLOR_SOFTMAX", "taylor-softmax"),
+    ("SM_SOFTMAX", "sm-softmax"),
+    ("SM_TAYLOR_SOFTMAX", "sm-taylor-softmax"),
+    ("SIN_MAX_CONSTANT", "sin-max-constant"),
+    ("SIN_MAX", "sin-max"),
+    ("COS_MAX", "cos-max"),
+    ("SIN2_MAX", "sin2-max"),
+    ("SIN2_MAX_SHIFTED", "sin2-max-shifted"),
+    ("SIN_SOFTMAX", "sin-softmax"),
+    ("SIREN_MAX", "siren-max"),
+])
+def test_named_kind_is_the_all_kinds_entry_of_its_tag(name, tag):
+    [kind] = [k for k in ALL_KINDS if k.tag == tag]
+    assert getattr(scorefn, name) is kind
+    assert kind == ScoreFunctionKind(tag)  # default parameters
 
 
 # -- intermediate values -----------------------------------------------
@@ -197,6 +229,17 @@ def test_siren_pole_raises_and_is_flagged():
     # Just outside the guard window evaluation succeeds.
     edge = math.pi / 2 - math.sqrt(2.1 * EPS_POLE)
     assert not pole_mask(SIREN_MAX, np.array([edge]))[0]
+
+
+def test_degenerate_row_is_a_score_error_at_the_first_flat_row():
+    x = _rng(23).normal(size=(2, 3, 4))
+    x[1, 1] = 0.25    # flat row 4
+    x[1, 2, :2] = x[1, 2, 2:] = 1.5    # flat row 5, also degenerate
+    with pytest.raises(ScoreError) as exc:
+        whiten_rows(x)
+    assert isinstance(exc.value, DegenerateRow)
+    assert exc.value.index == 4
+    assert 0.0 <= exc.value.value <= EPS_VAR
 
 
 def test_guard_errors_carry_location():

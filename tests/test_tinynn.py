@@ -16,15 +16,17 @@ from periscore.model import (
     normalize_rows,
     score_rows,
 )
-from periscore.analysis import DegenerateRow
 from periscore.harness import SyntheticSpec, TrainConfig, _tap_sampler
 from periscore.scorefn import (
     ALL_KINDS,
+    EPS_VAR,
     SIN_MAX,
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
+    DegenerateRow,
     DenominatorNearZero,
+    ScoreError,
     jacobian,
 )
 
@@ -75,6 +77,29 @@ def test_broadcast_add_accumulates_bias_gradient():
     loss = (Tensor(np.ones((4, 3))) * (w + b)).sum()
     loss.backward()
     np.testing.assert_allclose(b.grad, np.full(3, 4.0))
+
+
+def test_broadcast_along_a_size_one_axis_sums_its_gradient():
+    w = parameter(_rng(24).normal(size=(4, 3)))
+    col = parameter(np.zeros((4, 1)))
+    row = parameter(np.zeros((1, 3)))
+    g = _rng(25).normal(size=(4, 3))
+    ((w + col + row) * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(col.grad, g.sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(row.grad, g.sum(axis=0, keepdims=True))
+    np.testing.assert_array_equal(w.grad, g)
+
+
+def test_neg_and_sub_gradients():
+    a = parameter(np.array([1.0, -2.0, 3.0]))
+    b = parameter(np.array([0.5, 4.0, -1.5]))
+    ((a - b) * a - a).sum().backward()
+    # d/da (a^2 - ab - a) = 2a - b - 1, d/db = -a
+    np.testing.assert_allclose(a.grad, 2 * a.data - b.data - 1.0)
+    np.testing.assert_array_equal(b.grad, -a.data)
+    c = parameter(np.array([2.0, -3.0]))
+    (-c).sum().backward()
+    np.testing.assert_array_equal(c.grad, [-1.0, -1.0])
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -189,8 +214,8 @@ def test_score_rows_backward_is_bitwise_the_reference(kind):
     want = ref_vjp(kind, x, g)
     assert np.array_equal(t.grad, want)
     [(xs, gs)] = tapped
-    assert np.array_equal(xs, x.ravel())
-    assert np.array_equal(gs, want.ravel())
+    assert np.array_equal(xs, x)
+    assert np.array_equal(gs, want)
 
 
 def test_score_rows_siren_survives_the_pole():
@@ -309,6 +334,18 @@ def test_non_finite_input_becomes_breakdown_signal():
     assert exc.value.step == 7
 
 
+def test_degenerate_prenorm_row_breakdown_carries_its_location():
+    # A uniform image makes every token equal, so every raw score row is
+    # constant and pre-normalization has nothing to whiten.
+    model = build_demo(_demo_config(prenorm=True), seed=4)
+    with pytest.raises(BreakdownSignal) as exc:
+        model.forward(np.full((1, 8, 8, 1), 0.5), step=3)
+    cause = exc.value.cause
+    assert isinstance(cause, DegenerateRow) and isinstance(cause, ScoreError)
+    assert exc.value.layer_index == 0 and exc.value.step == 3
+    assert cause.index == 0 and cause.value <= EPS_VAR
+
+
 # -- gradient taps -----------------------------------------------------
 
 
@@ -364,7 +401,7 @@ def test_disabled_taps_record_nothing():
 
 def test_tap_hook_receives_each_blocks_score_inputs_and_gradients():
     # Backward reaches the last block first; every score input of a
-    # block arrives once, flat, with its gradient.
+    # block arrives once, row-shaped, with its gradient.
     model = build_demo(_demo_config(depth=2), seed=6)
     calls = []
     model.tap = lambda layer, xs, gs: calls.append((layer, xs, gs))
@@ -372,5 +409,5 @@ def test_tap_hook_receives_each_blocks_score_inputs_and_gradients():
     cross_entropy(model.forward(images), np.array([0, 1])).backward()
     assert [layer for layer, _, _ in calls] == [1, 0]
     for _, xs, gs in calls:
-        assert xs.shape == gs.shape == (2 * 2 * 16 * 16,)
+        assert xs.shape == gs.shape == (2, 2, 16, 16)
         assert np.all(np.isfinite(gs)) and np.any(gs != 0.0)
