@@ -197,7 +197,8 @@ def cosmax_extremum_interval(m):
     if not math.isfinite(m):
         raise ValueError("M must be finite")
     if abs(m - 1.0) < 1e-8 or abs(m + 1.0) < 1e-8:
-        raise PoleProximity(f"cos-max extremum formula has a pole at M = {m}")
+        raise PoleProximity(f"cos-max extremum formula has a pole at M = {m}",
+                            value=m)
     if m == 0.0:
         return ExtremumInterval(0.0, 0.0, 0.0)
     if abs(m) < 1.0:

@@ -1,4 +1,4 @@
-"""Command-line surface: curves, gradcheck, analyze, train, taps.
+"""Command-line surface: curves, gradcheck, analyze, train.
 
 Exit codes: 0 success, 1 flag/validation failure, 2 runtime failure.
 A training breakdown is a result, not a failure, and exits 0.
@@ -161,12 +161,11 @@ def cmd_train(args):
     demo = default_demo_config(kind, args.depth, shape, args.prenorm,
                                args.scale, classes)
     cfg = harness.TrainConfig(demo=demo, dataset=dataset, steps=args.steps,
-                              seed=args.seed, tap_every=args.tap_every,
-                              tap_cap=args.tap_cap)
+                              seed=args.seed, tap_every=args.tap_every)
     log = harness.train(cfg)
     harness.write_run_log(log, args.out)
     if log.taps:
-        harness.write_taps(log.taps, args.out + ".taps.jsonl")
+        harness.write_histograms(log.taps, args.out + ".taps.csv")
     if log.breakdown is not None:
         print(f"breakdown at step {log.breakdown.step}: "
               f"{log.breakdown.cause} (logged to {args.out})")
@@ -176,30 +175,12 @@ def cmd_train(args):
     return 0
 
 
-def cmd_taps(args):
-    if args.bins < 2:
-        print("error: --bins must be >= 2", file=sys.stderr)
-        return 1
-    sidecar = args.run + ".taps.jsonl"
-    if not os.path.isfile(sidecar):
-        print(f"error: run has no taps ({sidecar} missing)", file=sys.stderr)
-        return 1
-    taps = harness.read_taps(sidecar)
-    if not taps:
-        print("error: run has no taps", file=sys.stderr)
-        return 1
-    histograms = harness.aggregate_taps(taps, args.bins,
-                                        (args.x_min, args.x_max))
-    harness.write_histograms(histograms, args.out)
-    print(f"wrote {len(histograms)} histograms to {args.out}")
-    return 0
-
-
 def build_parser():
     parser = _Parser(prog="periscore",
                      description="Periodic score functions for attention: "
                                  "curves, gradient checks, analysis sweeps, "
-                                 "desk-scale training, tap histograms.")
+                                 "desk-scale training with gradient-tap "
+                                 "histograms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curves", help="emit a gradient curve CSV")
@@ -243,20 +224,12 @@ def build_parser():
     p.add_argument("--prenorm", action="store_true")
     p.add_argument("--scale", default="inv_dmodel",
                    choices=["inv_dmodel", "inv_sqrt_dmodel"])
-    p.add_argument("--tap-every", type=int, default=0)
-    p.add_argument("--tap-cap", type=int, default=100)
+    p.add_argument("--tap-every", type=int, default=0,
+                   help="every N-th step, bin each block's score-input "
+                        "gradients into <out>.taps.csv (default 0: off)")
     p.add_argument("--out", required=True)
     _add_kind_params(p)
     p.set_defaults(fn_impl=cmd_train)
-
-    p = sub.add_parser("taps", help="bin tapped gradients into a CSV")
-    p.add_argument("--run", required=True, help="run JSONL path (expects "
-                   "<run>.taps.jsonl sidecar)")
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--x-min", type=float, default=-10.0)
-    p.add_argument("--x-max", type=float, default=10.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn_impl=cmd_taps)
 
     return parser
 

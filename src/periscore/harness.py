@@ -1,5 +1,5 @@
 """Training harness: datasets, the loop, breakdown detection, gradient
-taps (sampling, serialization, binning).
+tap histograms.
 
 Breakdowns (non-finite loss, non-finite gradient, a score-function
 guard firing inside a block, or sustained gradient-norm runaway) end the
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,10 @@ GRAD_RUNAWAY_NORM = 1e6
 GRAD_RUNAWAY_STEPS = 10
 
 CIFAR_RECORD_BYTES = 3074  # coarse byte + fine byte + 3*32*32 pixels
+
+# Tapped score inputs are binned into TAP_BINS uniform bins over TAP_RANGE.
+TAP_BINS = 40
+TAP_RANGE = (-10.0, 10.0)
 
 
 @dataclass
@@ -68,15 +73,12 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 7
     tap_every: int = 0        # 0 = taps off
-    tap_cap: int = 100
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.tap_every > 0 and self.tap_cap < 1:
-            raise ValueError("tap_cap must be >= 1 when taps are on")
 
 
 @dataclass
@@ -99,15 +101,7 @@ class TrainRunLog:
     records: list
     breakdown: Breakdown | None = None
     final_eval_accuracy: float | None = None
-    taps: list = field(default_factory=list)
-
-
-@dataclass
-class GradientTapRecord:
-    step: int
-    layer_index: int
-    samples: list  # of (input value, dL/d(input)) pairs
-    sample_cap: int
+    taps: list = field(default_factory=list)  # of GradientHistogram
 
 
 @dataclass
@@ -285,21 +279,23 @@ def _eval_accuracy(model, data, idx, batch=64):
     return correct / idx.size if idx.size else float("nan")
 
 
-def _tap_sampler(cfg, step, records):
-    """A DemoModel.tap for one step: each call appends at most tap_cap
-    (x, grad) pairs to records, at sorted indices drawn in backward order
-    from seeded_rng(cfg.seed + step)."""
-    rng, cap = seeded_rng(cfg.seed + step), cfg.tap_cap
-
-    def tap(layer_index, xs, gs):
-        xs, gs = xs.ravel(), gs.ravel()
-        idx = np.arange(xs.size) if xs.size <= cap else np.sort(
-            rng.choice(xs.size, size=cap, replace=False))
-        records.append(GradientTapRecord(
-            step=step, layer_index=layer_index,
-            samples=[(float(xs[i]), float(gs[i])) for i in idx],
-            sample_cap=cap))
-    return tap
+def _bin_tap(histograms, step, layer_index, xs, gs):
+    """A DemoModel.tap: bin every (x, |grad|) pair of one block's score
+    inputs into TAP_BINS uniform bins over TAP_RANGE, x outside the range
+    counting in the edge bins, and append the GradientHistogram."""
+    lo, hi = TAP_RANGE
+    width = (hi - lo) / TAP_BINS
+    # Clip in float, then cast: casting a huge x first is undefined.
+    which = np.clip((xs.ravel() - lo) / width, 0, TAP_BINS - 1).astype(int)
+    count = np.bincount(which, minlength=TAP_BINS)
+    total = np.bincount(which, weights=np.abs(gs.ravel()),
+                        minlength=TAP_BINS)
+    mean = np.divide(total, count, out=np.zeros(TAP_BINS), where=count > 0)
+    centers = lo + (np.arange(TAP_BINS) + 0.5) * width
+    histograms.append(GradientHistogram(
+        step=step, layer_index=layer_index,
+        bins=[{"x_center": float(c), "mean_abs_grad": float(m),
+               "count": int(n)} for c, m, n in zip(centers, mean, count)]))
 
 
 def train(cfg):
@@ -315,7 +311,7 @@ def train(cfg):
         sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
                                replace=False)
         tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
-        model.tap = _tap_sampler(cfg, step, log.taps) if tapping else None
+        model.tap = partial(_bin_tap, log.taps, step) if tapping else None
         model.zero_grad()
         try:
             logits = model.forward(data.images[sel], step=step)
@@ -356,41 +352,6 @@ def train(cfg):
     return log
 
 
-# -- tap aggregation ---------------------------------------------------
-
-
-def aggregate_taps(taps, bin_count, x_range):
-    """Uniformly bin tapped (x, grad) pairs per (step, layer).
-
-    Out-of-range x values are clamped into the edge bins.
-    """
-    if bin_count < 2:
-        raise ValueError("bin_count must be >= 2")
-    lo, hi = x_range
-    if not lo < hi:
-        raise ValueError("x_range must be increasing")
-    groups = {}
-    for rec in taps:
-        groups.setdefault((rec.step, rec.layer_index), []).extend(rec.samples)
-    histograms = []
-    width = (hi - lo) / bin_count
-    centers = lo + (np.arange(bin_count) + 0.5) * width
-    for (step, layer), samples in sorted(groups.items()):
-        xs = np.array([s[0] for s in samples])
-        gs = np.abs([s[1] for s in samples])
-        which = np.clip(((xs - lo) / width).astype(int), 0, bin_count - 1)
-        bins = []
-        for b in range(bin_count):
-            mask = which == b
-            count = int(mask.sum())
-            mean_abs = float(gs[mask].mean()) if count else 0.0
-            bins.append({"x_center": float(centers[b]),
-                         "mean_abs_grad": mean_abs, "count": count})
-        histograms.append(GradientHistogram(step=step, layer_index=layer,
-                                            bins=bins))
-    return histograms
-
-
 # -- serialization -----------------------------------------------------
 
 
@@ -408,60 +369,34 @@ def write_run_log(log, path):
                 {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
 
 
-def _read_jsonl(path, what, add):
-    """add(obj) for each line's JSON value; a line that is not JSON or
-    that add() rejects raises ValueError naming the file and line."""
+def read_run_log(path):
+    """Parse a run log; a malformed line raises ValueError naming the
+    file and line."""
+    log = TrainRunLog(records=[])
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             try:
-                add(json.loads(line))
+                obj = json.loads(line)
+                if "breakdown" in obj:
+                    log.breakdown = Breakdown(**obj["breakdown"])
+                elif "final_eval_accuracy" in obj:
+                    log.final_eval_accuracy = obj["final_eval_accuracy"]
+                else:
+                    log.records.append(StepRecord(
+                        step=obj["step"], loss=obj["loss"],
+                        train_accuracy=obj["acc"],
+                        grad_norm=obj["grad_norm"]))
             except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path} line {n}: not a {what} "
+                raise ValueError(f"{path} line {n}: not a run-log record "
                                  f"({type(err).__name__}: {err})") from None
-
-
-def read_run_log(path):
-    """Parse a run log; a malformed line raises ValueError."""
-    log = TrainRunLog(records=[])
-
-    def add(obj):
-        if "breakdown" in obj:
-            log.breakdown = Breakdown(**obj["breakdown"])
-        elif "final_eval_accuracy" in obj:
-            log.final_eval_accuracy = obj["final_eval_accuracy"]
-        else:
-            log.records.append(StepRecord(
-                step=obj["step"], loss=obj["loss"],
-                train_accuracy=obj["acc"], grad_norm=obj["grad_norm"]))
-
-    _read_jsonl(path, "run-log record", add)
     return log
 
 
-def write_taps(taps, path):
-    """JSON Lines sidecar for tap records."""
-    with open(path, "w") as fh:
-        for rec in taps:
-            fh.write(json.dumps({"step": rec.step, "layer": rec.layer_index,
-                                 "cap": rec.sample_cap,
-                                 "samples": rec.samples}) + "\n")
-
-
-def read_taps(path):
-    """Parse a taps sidecar; a malformed line raises ValueError."""
-    taps = []
-    _read_jsonl(path, "tap record", lambda obj: taps.append(
-        GradientTapRecord(
-            step=obj["step"], layer_index=obj["layer"],
-            samples=[(float(x), float(g)) for x, g in obj["samples"]],
-            sample_cap=obj["cap"])))
-    return taps
-
-
 def write_histograms(histograms, path):
+    """CSV, one row per bin, ordered by step, then layer."""
     with open(path, "w") as fh:
         fh.write("step,layer,x_center,mean_abs_grad,count\n")
-        for h in histograms:
+        for h in sorted(histograms, key=lambda h: (h.step, h.layer_index)):
             for b in h.bins:
                 fh.write(f"{h.step},{h.layer_index},{b['x_center']!r},"
                          f"{b['mean_abs_grad']!r},{b['count']}\n")

@@ -221,22 +221,6 @@ def _check_pole(kind, x):
             index=bad, value=float(np.ravel(x)[bad]))
 
 
-def intermediate(kind, x):
-    """f(x) for a scalar input, per the kind's definition."""
-    return float(_scalar_f_and_fp(kind, x)[0])
-
-
-def intermediate_derivative(kind, x):
-    """f'(x) for a scalar input."""
-    return float(_scalar_f_and_fp(kind, x)[1]())
-
-
-def _scalar_f_and_fp(kind, x):
-    x = _check_finite(x)
-    _check_pole(kind, x)
-    return f_and_fp(kind, np.float64(x))
-
-
 class ScoreRows:
     """Scores of one kind along the last axis of x, and their VJP.
 

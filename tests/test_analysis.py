@@ -181,10 +181,10 @@ def test_cosmax_interval_unbounded_below_one():
 
 
 def test_cosmax_interval_pole_at_unit_m():
-    with pytest.raises(PoleProximity):
-        cosmax_extremum_interval(1.0)
-    with pytest.raises(PoleProximity):
-        cosmax_extremum_interval(-1.0)
+    for m in (1.0, -1.0, 1.0 + 1e-9):
+        with pytest.raises(PoleProximity) as exc:
+            cosmax_extremum_interval(m)
+        assert exc.value.value == m
 
 
 def test_sin2max_extremum_location_is_a_maximizer():

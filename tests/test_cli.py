@@ -193,6 +193,8 @@ def test_train_synthetic_writes_log(tmp_path, capsys):
     assert all("loss" in l for l in lines[:5])
     assert "final_eval_accuracy" in lines[-1]
     assert "final eval accuracy" in capsys.readouterr().out
+    # Taps are off by default, so no histogram CSV is written.
+    assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
 
 
 def test_train_breakdown_still_exits_0(tmp_path, capsys):
@@ -241,55 +243,16 @@ def test_train_malformed_cifar_dataset_string_exits_1(tmp_path, capsys):
 def test_taps_pipeline(tmp_path):
     run = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "sin-softmax", "--steps", "4",
-                 "--tap-every", "2", "--tap-cap", "20",
-                 "--out", str(run)]) == 0
-    assert (tmp_path / "run.jsonl.taps.jsonl").is_file()
-    hist = tmp_path / "hist.csv"
-    assert _run(["taps", "--run", str(run), "--bins", "8",
-                 "--x-min", "-5", "--x-max", "5", "--out", str(hist)]) == 0
-    lines = hist.read_text().splitlines()
+                 "--tap-every", "2", "--out", str(run)]) == 0
+    lines = (tmp_path / "run.jsonl.taps.csv").read_text().splitlines()
     assert lines[0] == "step,layer,x_center,mean_abs_grad,count"
-    # Two tapped steps, one attention layer, eight bins each.
-    assert len(lines) == 1 + 2 * 8
-    counts = sum(int(l.split(",")[4]) for l in lines[1:])
-    assert counts == 2 * 20
-
-
-def test_taps_without_sidecar_exits_1(tmp_path):
-    run = tmp_path / "run.jsonl"
-    run.write_text("{}\n")
-    assert _run(["taps", "--run", str(run),
-                 "--out", str(tmp_path / "h.csv")]) == 1
-
-
-def test_taps_empty_sidecar_exits_1(tmp_path, capsys):
-    run = tmp_path / "run.jsonl"
-    (tmp_path / "run.jsonl.taps.jsonl").write_text("")
-    assert _run(["taps", "--run", str(run),
-                 "--out", str(tmp_path / "h.csv")]) == 1
-    assert capsys.readouterr().err == "error: run has no taps\n"
-    assert not (tmp_path / "h.csv").exists()
-
-
-@pytest.mark.parametrize("record", [
-    {"step": 1, "layer": 0, "cap": 2, "samples": [[0.1, 0.2, 0.3]]},
-    {"step": 1, "layer": 0, "cap": 2, "samples": [0.5, 0.7]},
-    {"step": 1, "layer": 0, "samples": [[0.1, 0.2]]},
-], ids=["triple-samples", "scalar-samples", "missing-cap"])
-def test_taps_malformed_sidecar_exits_2(tmp_path, capsys, record):
-    run = tmp_path / "run.jsonl"
-    (tmp_path / "run.jsonl.taps.jsonl").write_text(json.dumps(record) + "\n")
-    assert _run(["taps", "--run", str(run),
-                 "--out", str(tmp_path / "h.csv")]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
-    assert not (tmp_path / "h.csv").exists()
-
-
-def test_taps_bad_bins_exits_1(tmp_path):
-    assert _run(["taps", "--run", str(tmp_path / "run.jsonl"), "--bins", "1",
-                 "--out", str(tmp_path / "h.csv")]) == 1
+    # Two tapped steps, one attention layer, 40 bins each.
+    rows = [l.split(",") for l in lines[1:]]
+    assert len(rows) == 2 * 40
+    assert [int(r[0]) for r in rows] == [2] * 40 + [4] * 40
+    assert float(rows[0][2]) == -9.75 and float(rows[39][2]) == 9.75
+    # Every score input of a step is counted: 16 rows, 2 heads, 16 x 16.
+    assert sum(int(r[4]) for r in rows[:40]) == 16 * 2 * 16 * 16
 
 
 # -- parser ------------------------------------------------------------

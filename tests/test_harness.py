@@ -1,11 +1,14 @@
 """Unit tests for datasets, the training loop, and serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from periscore import harness
 from periscore.autodiff import Tensor, parameter
 from periscore.harness import (
+    TAP_BINS,
     Adam,
     AdamSpec,
     Breakdown,
@@ -13,24 +16,21 @@ from periscore.harness import (
     CifarFormatError,
     Dataset,
     GradientHistogram,
-    GradientTapRecord,
     Sgd,
     SgdSpec,
     StepRecord,
     SyntheticSpec,
     TrainConfig,
     TrainRunLog,
+    _bin_tap,
     _eval_accuracy,
-    aggregate_taps,
     build_dataset,
     load_cifar100,
     make_synthetic,
     read_run_log,
-    read_taps,
     train,
     write_histograms,
     write_run_log,
-    write_taps,
 )
 from periscore.model import (
     AttentionConfig,
@@ -345,32 +345,27 @@ def test_score_error_in_final_eval_is_a_breakdown(monkeypatch):
 
 
 def test_train_taps_fire_on_schedule():
-    log = train(_config(steps=6, tap_every=3, tap_cap=7))
-    steps = sorted({rec.step for rec in log.taps})
-    assert steps == [3, 6]
-    assert all(len(rec.samples) <= 7 for rec in log.taps)
+    log = train(_config(steps=6, tap_every=3))
+    assert [h.step for h in log.taps] == [3, 6]
+    # Every score input is binned: batch 8 * 2 heads * 16 * 16 tokens.
+    for h in log.taps:
+        assert len(h.bins) == TAP_BINS
+        assert sum(b["count"] for b in h.bins) == 8 * 2 * 16 * 16
 
 
 def test_train_taps_run_in_backward_order():
     # Backward reaches the last block first, so each tapped step lists
     # layer 1 before layer 0.
-    log = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
-    assert [(r.step, r.layer_index) for r in log.taps] == [
+    log = train(_config(depth=2, steps=4, tap_every=2))
+    assert [(h.step, h.layer_index) for h in log.taps] == [
         (2, 1), (2, 0), (4, 1), (4, 0)]
-    assert all(len(r.samples) == 5 and r.sample_cap == 5 for r in log.taps)
 
 
 def test_train_taps_are_deterministic():
-    a = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
-    b = train(_config(depth=2, steps=4, tap_every=2, tap_cap=5))
-    assert [r.samples for r in a.taps] == [r.samples for r in b.taps]
+    a = train(_config(depth=2, steps=4, tap_every=2))
+    b = train(_config(depth=2, steps=4, tap_every=2))
+    assert a.taps == b.taps
     assert len(a.taps) == 4
-
-
-def test_tap_cap_must_be_positive_when_taps_are_on():
-    with pytest.raises(ValueError, match="tap_cap"):
-        _config(tap_every=1, tap_cap=0)
-    assert _config(tap_every=0, tap_cap=0).tap_cap == 0
 
 
 def test_config_validation():
@@ -382,37 +377,27 @@ def test_config_validation():
         cfg.__post_init__()
 
 
-# -- tap aggregation ---------------------------------------------------
+# -- tap binning -------------------------------------------------------
 
 
-def _tap(step, layer, samples):
-    return GradientTapRecord(step=step, layer_index=layer,
-                             samples=samples, sample_cap=100)
-
-
-def test_aggregate_taps_bins_and_clamps():
-    taps = [_tap(1, 0, [(-0.5, 1.0), (0.5, 3.0), (99.0, 5.0)])]
-    hists = aggregate_taps(taps, bin_count=2, x_range=(-1.0, 1.0))
-    assert len(hists) == 1
-    bins = hists[0].bins
-    assert bins[0]["count"] == 1 and bins[0]["mean_abs_grad"] == 1.0
-    # The out-of-range sample clamps into the upper edge bin.
-    assert bins[1]["count"] == 2 and bins[1]["mean_abs_grad"] == 4.0
-    assert bins[0]["x_center"] == -0.5 and bins[1]["x_center"] == 0.5
-
-
-def test_aggregate_taps_groups_by_step_and_layer():
-    taps = [_tap(1, 0, [(0.0, 1.0)]), _tap(1, 1, [(0.0, 2.0)]),
-            _tap(2, 0, [(0.0, 3.0)])]
-    hists = aggregate_taps(taps, bin_count=2, x_range=(-1.0, 1.0))
-    assert [(h.step, h.layer_index) for h in hists] == [(1, 0), (1, 1), (2, 0)]
-
-
-def test_aggregate_taps_validates_arguments():
-    with pytest.raises(ValueError):
-        aggregate_taps([], bin_count=1, x_range=(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        aggregate_taps([], bin_count=4, x_range=(1.0, -1.0))
+def test_bin_tap_bins_and_clamps():
+    # x is clipped in float before the cast to a bin index, so +-1e20
+    # land in the edge bins without an invalid-cast warning.
+    hists = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _bin_tap(hists, 2, 1, np.array([[-1e20, 0.1], [0.2, 1e20]]),
+                 np.array([[2.0, -1.0], [3.0, -5.0]]))
+    [h] = hists
+    assert (h.step, h.layer_index) == (2, 1)
+    first, middle, last = h.bins[0], h.bins[TAP_BINS // 2], h.bins[-1]
+    assert (first["x_center"], first["count"], first["mean_abs_grad"]) == (
+        -9.75, 1, 2.0)
+    assert (middle["x_center"], middle["count"], middle["mean_abs_grad"]) == (
+        0.25, 2, 2.0)
+    assert (last["x_center"], last["count"], last["mean_abs_grad"]) == (
+        9.75, 1, 5.0)
+    assert sum(b["count"] for b in h.bins) == 4
 
 
 # -- serialization -----------------------------------------------------
@@ -456,21 +441,13 @@ def test_read_run_log_rejects_malformed_line(tmp_path, line, error):
         f"{path} line 2: not a run-log record ({error}")
 
 
-def test_taps_roundtrip(tmp_path):
-    taps = [_tap(3, 1, [(0.25, -1.5), (2.0, 0.0)])]
-    path = tmp_path / "taps.jsonl"
-    write_taps(taps, path)
-    back = read_taps(path)
-    assert back[0].step == 3 and back[0].layer_index == 1
-    assert back[0].samples == [(0.25, -1.5), (2.0, 0.0)]
-    assert back[0].sample_cap == 100
-
-
 def test_write_histograms_csv(tmp_path):
-    hist = GradientHistogram(step=2, layer_index=0, bins=[
+    # Rows come out by step, then layer, whatever order the taps ran in.
+    hists = [GradientHistogram(step=step, layer_index=layer, bins=[
         {"x_center": -0.5, "mean_abs_grad": 1.25, "count": 3}])
+        for step, layer in [(2, 1), (2, 0), (1, 0)]]
     path = tmp_path / "hist.csv"
-    write_histograms([hist], path)
+    write_histograms(hists, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,layer,x_center,mean_abs_grad,count"
-    assert lines[1] == "2,0,-0.5,1.25,3"
+    assert lines == ["step,layer,x_center,mean_abs_grad,count",
+                     "1,0,-0.5,1.25,3", "2,0,-0.5,1.25,3", "2,1,-0.5,1.25,3"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from periscore import scorefn
+from periscore.analysis import cosmax_extremum_interval
 from periscore.scorefn import (
     ALL_KINDS,
     EPS_DEN,
@@ -26,10 +27,9 @@ from periscore.scorefn import (
     PoleProximity,
     ScoreError,
     ScoreFunctionKind,
+    ScoreRows,
     f_and_fp,
     finite_diff_jacobian,
-    intermediate,
-    intermediate_derivative,
     jacobian,
     pole_mask,
     scores,
@@ -95,21 +95,28 @@ def test_named_kind_is_the_all_kinds_entry_of_its_tag(name, tag):
 # -- intermediate values -----------------------------------------------
 
 
+def _f(kind, x):
+    return f_and_fp(kind, np.float64(x))[0]
+
+
+def _fp(kind, x):
+    return f_and_fp(kind, np.float64(x))[1]()
+
+
 def test_intermediate_known_points():
-    assert intermediate(SOFTMAX, 1.0) == pytest.approx(math.e)
-    assert intermediate(SIN_MAX_CONSTANT, 0.0) == pytest.approx(1.0)
-    assert intermediate(SIREN_MAX, 0.0) == pytest.approx(0.5)
-    assert intermediate(SIN2_MAX, math.pi / 2) == pytest.approx(1.0)
+    assert _f(SOFTMAX, 1.0) == pytest.approx(math.e)
+    assert _f(SIN_MAX_CONSTANT, 0.0) == pytest.approx(1.0)
+    assert _f(SIREN_MAX, 0.0) == pytest.approx(0.5)
+    assert _f(SIN2_MAX, math.pi / 2) == pytest.approx(1.0)
     # order-2 Taylor polynomial 1 + x + x^2/2 at x = 2
-    assert intermediate(TAYLOR_SOFTMAX, 2.0) == pytest.approx(5.0)
+    assert _f(TAYLOR_SOFTMAX, 2.0) == pytest.approx(5.0)
 
 
 def test_intermediate_derivative_known_points():
-    assert intermediate_derivative(SOFTMAX, 0.0) == pytest.approx(1.0)
-    assert intermediate_derivative(SIN_MAX, 0.0) == pytest.approx(1.0)
+    assert _fp(SOFTMAX, 0.0) == pytest.approx(1.0)
+    assert _fp(SIN_MAX, 0.0) == pytest.approx(1.0)
     # d/dx sin^2(x) = sin(2x)
-    assert intermediate_derivative(SIN2_MAX, 0.3) == pytest.approx(
-        math.sin(0.6))
+    assert _fp(SIN2_MAX, 0.3) == pytest.approx(math.sin(0.6))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
@@ -120,8 +127,8 @@ def test_kind_table_is_bitwise_the_reference(kind):
     f, fp = f_and_fp(kind, x)
     assert np.array_equal(f, ref_f(kind, x))
     assert np.array_equal(fp(), ref_fp(kind, x))
-    assert intermediate(kind, x[0, 0]) == ref_f(kind, x[0, 0])
-    assert intermediate_derivative(kind, x[0, 0]) == ref_fp(kind, x[0, 0])
+    assert _f(kind, x[0, 0]) == ref_f(kind, x[0, 0])
+    assert _fp(kind, x[0, 0]) == ref_fp(kind, x[0, 0])
     checked = 0
     for row in x:
         num, _, off, _, denom = ref_terms(kind, row)
@@ -141,7 +148,7 @@ def test_kind_table_is_bitwise_the_reference(kind):
 
 def test_shifted_kind_is_plain_kind_at_shifted_argument():
     kind = ScoreFunctionKind("sin2-max-shifted", phase=0.7)
-    assert intermediate(kind, 1.1) == intermediate(SIN2_MAX, 1.8)
+    assert _f(kind, 1.1) == _f(SIN2_MAX, 1.8)
 
 
 # -- normalized scores -------------------------------------------------
@@ -189,7 +196,7 @@ def test_non_finite_input_raises():
     with pytest.raises(NonFiniteInput):
         scores(SOFTMAX, np.array([0.0, np.nan]))
     with pytest.raises(NonFiniteInput):
-        intermediate(SOFTMAX, np.inf)
+        ScoreRows(SOFTMAX, np.array([[0.0, 1.0], [np.inf, 0.0]]))
 
 
 def test_near_zero_denominator_raises():
@@ -224,8 +231,13 @@ def test_siren_pole_raises_and_is_flagged():
     assert pole_mask(SIREN_MAX, x).tolist() == [False, True]
     with pytest.raises(PoleProximity):
         scores(SIREN_MAX, x)
-    with pytest.raises(PoleProximity):
-        intermediate(SIREN_MAX, math.pi / 2)
+    rows = np.array([[0.1, 0.2], [math.pi / 2, 0.0]])
+    with pytest.raises(PoleProximity) as exc:
+        ScoreRows(SIREN_MAX, rows)
+    assert exc.value.index == 2 and exc.value.value == math.pi / 2
+    # The training path evaluates through the pole instead.
+    assert np.all(np.isfinite(ScoreRows(SIREN_MAX, rows,
+                                        through_pole=True).scores()))
     # Just outside the guard window evaluation succeeds.
     edge = math.pi / 2 - math.sqrt(2.1 * EPS_POLE)
     assert not pole_mask(SIREN_MAX, np.array([edge]))[0]
@@ -243,11 +255,26 @@ def test_degenerate_row_is_a_score_error_at_the_first_flat_row():
 
 
 def test_guard_errors_carry_location():
-    try:
+    with pytest.raises(DenominatorNearZero) as exc:
         scores(SIN_MAX, np.array([0.7, -0.7]))
-    except DenominatorNearZero as err:
-        assert err.index == 0
-        assert err.value == pytest.approx(0.0, abs=1e-12)
+    assert exc.value.index == 0
+    assert exc.value.value == pytest.approx(0.0, abs=1e-12)
+    # Every site in scorefn and analysis that raises a ScoreError, one
+    # trigger each: each error carries the value that tripped the guard.
+    triggers = [
+        (NonFiniteInput, lambda: scores(SOFTMAX, np.array([0.0, np.nan]))),
+        (DenominatorNearZero, lambda: jacobian(SIN_MAX, [0.7, -0.7])),
+        (NonFiniteDenominator, lambda: scores(SOFTMAX, [460.0, 460.0])),
+        (PoleProximity, lambda: scores(SIREN_MAX, [0.1, math.pi / 2])),
+        (DegenerateRow, lambda: whiten_rows(np.ones((2, 3)))),
+        (PoleProximity, lambda: cosmax_extremum_interval(-1.0)),
+    ]
+    for cls, trigger in triggers:
+        with pytest.raises(cls) as exc:
+            trigger()
+        assert exc.value.value is not None, cls.__name__
+    assert ({cls for cls, _ in triggers}
+            == set(ScoreError.__subclasses__()))
 
 
 # -- Jacobians ---------------------------------------------------------

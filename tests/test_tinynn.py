@@ -1,6 +1,7 @@
 """Unit tests for the autodiff engine and the attention demo model."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from periscore.model import (
     normalize_rows,
     score_rows,
 )
-from periscore.harness import SyntheticSpec, TrainConfig, _tap_sampler
+from periscore.harness import TAP_BINS, TAP_RANGE, _bin_tap
 from periscore.scorefn import (
     ALL_KINDS,
     EPS_VAR,
@@ -349,54 +350,55 @@ def test_degenerate_prenorm_row_breakdown_carries_its_location():
 # -- gradient taps -----------------------------------------------------
 
 
-def _sampler(cap, seed, step, records):
-    # The harness's per-step tap: at most `cap` samples per block, drawn
-    # from seeded_rng(seed + step).
-    cfg = TrainConfig(demo=_demo_config(), dataset=SyntheticSpec(),
-                      seed=seed, tap_every=1, tap_cap=cap)
-    return _tap_sampler(cfg, step, records)
+def _tapped_backward(tap, step, depth=2, seed=6):
+    model = build_demo(_demo_config(depth=depth), seed=seed)
+    model.tap = tap
+    images = _rng(13).normal(size=(2, 8, 8, 1))
+    loss = cross_entropy(model.forward(images, step=step), np.array([0, 1]))
+    loss.backward()
+    return model
 
 
 def test_taps_record_scores_inputs_and_gradients():
-    model = build_demo(_demo_config(depth=2), seed=6)
-    records = []
-    model.tap = _sampler(cap=10, seed=0, step=3, records=records)
-    images = _rng(13).normal(size=(2, 8, 8, 1))
-    loss = cross_entropy(model.forward(images, step=3), np.array([0, 1]))
-    loss.backward()
-    assert len(records) == 2  # one per attention block
-    assert {r.layer_index for r in records} == {0, 1}
-    for rec in records:
-        assert rec.step == 3
-        assert len(rec.samples) == 10  # cap < 2*16*16 available entries
-        assert all(np.isfinite(v) for pair in rec.samples for v in pair)
-    model.tap = None
-    cross_entropy(model.forward(images), np.array([0, 1])).backward()
-    assert len(records) == 2
+    # The harness's tap bins every element that a plain hook receives
+    # on the same seed and step, as np.histogram does with x clamped
+    # into the range.
+    hists, calls = [], []
+    _tapped_backward(partial(_bin_tap, hists, 3), step=3)
+    _tapped_backward(lambda layer, xs, gs: calls.append((layer, xs, gs)),
+                     step=3)
+    assert [(h.step, h.layer_index) for h in hists] == [(3, 1), (3, 0)]
+    for h, (layer, xs, gs) in zip(hists, calls):
+        assert h.layer_index == layer
+        x = np.clip(xs.ravel(), *TAP_RANGE)
+        count, edges = np.histogram(x, bins=TAP_BINS, range=TAP_RANGE)
+        total, _ = np.histogram(x, bins=TAP_BINS, range=TAP_RANGE,
+                                weights=np.abs(gs.ravel()))
+        assert [b["count"] for b in h.bins] == count.tolist()
+        assert count.sum() == 2 * 2 * 16 * 16  # batch * heads * n * n
+        mean = np.divide(total, count, out=np.zeros(TAP_BINS),
+                         where=count > 0)
+        np.testing.assert_allclose([b["mean_abs_grad"] for b in h.bins],
+                                   mean, rtol=1e-12)
+        np.testing.assert_allclose([b["x_center"] for b in h.bins],
+                                   (edges[:-1] + edges[1:]) / 2, atol=1e-12)
 
 
 def test_taps_are_deterministic_given_seed():
-    def run():
-        model = build_demo(_demo_config(), seed=6)
-        records = []
-        model.tap = _sampler(cap=5, seed=41, step=1, records=records)
-        images = _rng(14).normal(size=(1, 8, 8, 1))
-        cross_entropy(model.forward(images, step=1),
-                      np.array([2])).backward()
-        return records
-
-    a, b = run(), run()
-    assert [r.samples for r in a] == [r.samples for r in b]
+    a, b = [], []
+    _tapped_backward(partial(_bin_tap, a, 1), step=1, depth=1, seed=41)
+    _tapped_backward(partial(_bin_tap, b, 1), step=1, depth=1, seed=41)
+    assert len(a) == 1 and a == b
 
 
 def test_disabled_taps_record_nothing():
+    hists = []
     model = build_demo(_demo_config(), seed=6)
-    records = []
-    model.tap = _sampler(cap=5, seed=0, step=1, records=records)
+    model.tap = partial(_bin_tap, hists, 1)
     model.tap = None
     images = _rng(15).normal(size=(1, 8, 8, 1))
     cross_entropy(model.forward(images), np.array([0])).backward()
-    assert records == []
+    assert hists == []
 
 
 def test_tap_hook_receives_each_blocks_score_inputs_and_gradients():

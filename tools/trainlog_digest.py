@@ -2,9 +2,13 @@
 training bitwise unchanged.
 
 For each config below it trains 150 steps at seed 1 with gradient taps
-every 50 steps and prints one line: the outcome and a SHA-256 over every
-step's loss, accuracy and gradient norm, every tap sample, the final
-eval accuracy and the breakdown, with floats written exactly (hex).
+every 50 steps and prints two lines. The first gives the outcome and a
+SHA-256 over every step's loss, accuracy and gradient norm, the final
+eval accuracy and the breakdown. The second gives a SHA-256 over every
+tap histogram: its step and layer, and each bin's centre, mean |grad|
+and count. Floats are written exactly (hex). The training bits and the
+tap histograms are digested apart, so a change to the histograms cannot
+hide a change to training.
 The configs are the 8x8 synthetic task at several kinds and depths, and
 the benchmark's train-seq64 shape: sin-softmax depth 1 on 32x32x3
 CIFAR-format records from perfbench.workloads.cifar_records.  NumPy and
@@ -67,22 +71,24 @@ def _config(kind, depth, prenorm, steps, seed, tap_every=0,
                        tap_every=tap_every)
 
 
-def _digest(log):
+def _sha256(lines):
     h = hashlib.sha256()
-
-    def put(*values):
+    for values in lines:
         h.update(" ".join(v.hex() if isinstance(v, float) else str(v)
                           for v in values).encode() + b"\n")
-
-    for r in log.records:
-        put(r.step, r.loss, r.train_accuracy, r.grad_norm)
-    for t in log.taps:
-        put(t.step, t.layer_index, t.sample_cap)
-        for x, g in t.samples:
-            put(x, g)
-    put("eval", log.final_eval_accuracy)
-    put("breakdown", log.breakdown)
     return h.hexdigest()
+
+
+def _records_digest(log):
+    return _sha256([*((r.step, r.loss, r.train_accuracy, r.grad_norm)
+                      for r in log.records),
+                    ("eval", log.final_eval_accuracy),
+                    ("breakdown", log.breakdown)])
+
+
+def _taps_digest(log):
+    return _sha256((t.step, t.layer_index, b["x_center"], b["mean_abs_grad"],
+                    b["count"]) for t in log.taps for b in t.bins)
 
 
 def _outcome(log):
@@ -101,7 +107,9 @@ def _seq64_config(path):
 
 def _print_run(label, log):
     print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
-          f"sha256 {_digest(log)}")
+          f"sha256 {_records_digest(log)}")
+    print(f"{label}: {len(log.taps)} tap histograms, "
+          f"taps sha256 {_taps_digest(log)}")
 
 
 def main():
@@ -119,7 +127,7 @@ def main():
         peak = max((r.grad_norm for r in log.records), default=0.0)
         broke += log.breakdown is not None
         print(f"cos-max d4 seed {seed:2d}: {_outcome(log)}, "
-              f"peak grad norm {peak:.3g}, sha256 {_digest(log)}")
+              f"peak grad norm {peak:.3g}, sha256 {_records_digest(log)}")
     print(f"cos-max d4: {broke}/{SWEEP_SEEDS} broke down")
 
 
