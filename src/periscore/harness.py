@@ -25,7 +25,6 @@ GRAD_RUNAWAY_STEPS = 10
 
 CIFAR_RECORD_BYTES = 3074  # coarse byte + fine byte + 3*32*32 pixels
 
-# Tapped score inputs are binned into TAP_BINS uniform bins over TAP_RANGE.
 TAP_BINS = 40
 TAP_RANGE = (-10.0, 10.0)
 
