@@ -35,9 +35,10 @@ from .scorefn import (
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 
-# submersion_curve scores at most this many elements per kernel call, so
-# its temporaries stay near 128 KiB whatever the row width.
-SUBMERSION_BLOCK = 16384
+# Batched jobs (submersion_curve, the gradcheck command) score at most this
+# many elements per kernel call, so their temporaries stay near 128 KiB
+# whatever the row width.
+BLOCK_ELEMENTS = 16384
 
 
 @dataclass
@@ -337,7 +338,7 @@ def submersion_curve(d_values, trials=1000, seed=7):
     """Mean max_j |S_j - 1/d| under Sin-max-constant for growing d.
 
     Quantifies how the constant term drowns inter-element differences.
-    Rows are scored in blocks of at most SUBMERSION_BLOCK elements.
+    Rows are scored in blocks of at most BLOCK_ELEMENTS elements.
     """
     if trials < 1:
         raise ValueError("submersion_curve requires trials >= 1")
@@ -346,7 +347,7 @@ def submersion_curve(d_values, trials=1000, seed=7):
         if d < 2:
             raise ValueError(f"submersion_curve requires d >= 2, got {d}")
         rows = seeded_rng(seed).normal(0.0, 1.0, size=(trials, d))
-        step = max(1, SUBMERSION_BLOCK // d)
+        step = max(1, BLOCK_ELEMENTS // d)
         devs = np.empty(trials)
         for i in range(0, trials, step):
             s = ScoreRows(SIN_MAX_CONSTANT, rows[i:i + step]).scores()

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.tap_every < 0:
+            raise ValueError("tap_every must be >= 0")
 
 
 @dataclass

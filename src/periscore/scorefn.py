@@ -240,13 +240,17 @@ class ScoreRows:
         x = _check_finite(x)
         if not through_pole:
             _check_pole(kind, x)
-        self.num, self._fp = f_and_fp(kind, x)
-        if kind.tag in _MARGIN_TAGS:
-            self.off, self._offp = _F_FP[kind.tag](kind, x)
-        else:
-            self.off, self._offp = self.num, None
-        self.total = self.off.sum(axis=-1, keepdims=True)
-        self.denom = self.total - self.off + self.num
+        # An f that overflows leaves an inf or NaN denominator, which
+        # scores() and the callers of check_denominators() reject; numpy's
+        # warnings on the way there would only repeat that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.num, self._fp = f_and_fp(kind, x)
+            if kind.tag in _MARGIN_TAGS:
+                self.off, self._offp = _F_FP[kind.tag](kind, x)
+            else:
+                self.off, self._offp = self.num, None
+            self.total = self.off.sum(axis=-1, keepdims=True)
+            self.denom = self.total - self.off + self.num
 
     def scores(self):
         """S_j = num[j] / denom[j]."""
@@ -276,6 +280,14 @@ def _row(x, name):
     return x
 
 
+def _rows(x, name):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 1 or x.shape[-1] < 2:
+        raise ValueError(f"{name} requires rows of dim >= 2 along the "
+                         f"last axis")
+    return x
+
+
 def scores(kind, x):
     """Normalized scores S_j = f(x_j) / sum_i f(x_i) for one row."""
     rows = ScoreRows(kind, _row(x, "scores"))
@@ -284,31 +296,44 @@ def scores(kind, x):
 
 
 def jacobian(kind, x):
-    """Analytic Jacobian dS_j/dx_k for one row, as the VJP of each unit
-    cotangent.
+    """Analytic Jacobian dS_j/dx_k of each row of x, as the VJP of each
+    unit cotangent.
+
+    x is one row of shape (d,) or a stack (..., d); entries has shape
+    (..., d, d), the Jacobian of row x[i] at entries[i], and each row's
+    Jacobian is bitwise the one its 1-d call gives.  A guard failure in
+    any row raises, with a flat index into the stack.
 
     Diagonal: M_j * f'(x_j) / (M_j + f(x_j))^2 with M_j the off-sum;
     off-diagonal from the quotient rule.
     """
-    rows = ScoreRows(kind, _row(x, "jacobian"))
+    x = _rows(x, "jacobian")
+    rows = ScoreRows(kind, x[..., None, :])
     check_denominators(rows.denom)
-    return JacobianMatrix(entries=rows.vjp(np.eye(rows.num.size)))
+    return JacobianMatrix(entries=rows.vjp(np.eye(x.shape[-1])))
 
 
 def finite_diff_jacobian(kind, x, h=1e-5):
     """Central-difference Jacobian, the independent oracle for jacobian().
 
-    When the normalization is near-singular (scores far outside [0, 1],
-    e.g. sin-max with a small denominator) the base step would leave
-    visible truncation error, so the step shrinks with 1/max|S|.  The 2d
-    perturbed rows are scored as one batch.
+    x is one row (d,) or a stack (..., d), with entries of shape
+    (..., d, d) as in jacobian().  When a row's normalization is
+    near-singular (scores far outside [0, 1], e.g. sin-max with a small
+    denominator) the base step would leave visible truncation error, so
+    each row's step shrinks with 1/max|S| of that row.  The 2d perturbed
+    rows of every row in the stack are scored as one batch, and the same
+    guards apply to them as to x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h = h / max(1.0, float(np.abs(scores(kind, x).scores).max()))
-    d = x.size
+    x = _rows(x, "finite_diff_jacobian")
+    s = ScoreRows(kind, x).scores()
+    h = h / np.maximum(1.0, np.abs(s).max(axis=-1))[..., None, None]
+    d = x.shape[-1]
     steps = h * np.eye(d)
-    s = ScoreRows(kind, np.concatenate([x + steps, x - steps])).scores()
-    return JacobianMatrix(entries=(s[:d] - s[d:]).T / (2.0 * h))
+    x = x[..., None, :]
+    s = ScoreRows(kind, np.concatenate([x + steps, x - steps], axis=-2)
+                  ).scores()
+    return JacobianMatrix(
+        entries=(s[..., :d, :] - s[..., d:, :]).swapaxes(-1, -2) / (2.0 * h))
 
 
 def whiten_rows(x):

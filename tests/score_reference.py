@@ -6,8 +6,8 @@ with no sharing of intermediate values; the soft-margin kinds score
 element j at x_j - margin against the unshifted f of the rest of the row.
 Siren-max uses the plain formula, so inputs must stay off its pole.
 
-The extremum search and the submersion curve are kept here in their
-one-search-at-a-time, one-row-at-a-time form.
+The extremum search, the submersion curve and the gradcheck command are
+kept here in their one-search-at-a-time, one-row-at-a-time form.
 """
 
 import math
@@ -19,7 +19,10 @@ from periscore.scorefn import (
     EPS_DEN,
     EPS_POLE,
     SIN_MAX_CONSTANT,
+    ScoreError,
     ScoreFunctionKind,
+    finite_diff_jacobian,
+    jacobian,
     seeded_rng,
 )
 
@@ -227,3 +230,30 @@ def ref_submersion(d, trials, seed):
         num, _, _, _, denom = ref_terms(SIN_MAX_CONSTANT, row)
         devs.append(float(np.max(np.abs(num / denom - 1.0 / d))))
     return float(np.mean(devs))
+
+
+def ref_gradcheck(names, dim, trials, seed, tol=1e-6):
+    """The lines `periscore gradcheck` prints for default kinds, one trial
+    at a time: a 1-d jacobian and finite_diff_jacobian call per trial, and
+    a trial skipped when either raises a guard error.  max() would drop a
+    NaN error; the kernels give none on these inputs."""
+    rng = seeded_rng(seed)
+    lines = []
+    for name in names:
+        kind = ScoreFunctionKind(name)
+        worst = 0.0
+        skipped = 0
+        for _ in range(trials):
+            x = rng.normal(0.0, 1.0, size=dim)
+            try:
+                a = jacobian(kind, x).entries
+                f = finite_diff_jacobian(kind, x).entries
+            except ScoreError:
+                skipped += 1
+                continue
+            scale = max(np.abs(f).max(), np.abs(a).max(), 1.0)
+            worst = max(worst, float(np.abs(a - f).max() / scale))
+        ok = worst <= tol and skipped < trials
+        lines.append(f"{name:20s} max rel err {worst:.3e}  skipped "
+                     f"{skipped:3d}  {'PASS' if ok else 'FAIL'}")
+    return lines

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from periscore.analysis import (
+    BLOCK_ELEMENTS,
     GRID_RANGE,
     GRID_STEP,
-    SUBMERSION_BLOCK,
     CurveSeries,
     _diag_entries_rows,
     cosmax_extremum_interval,
@@ -296,8 +296,8 @@ def test_submersion_curve_decreases():
     (2, 7), (3, 5), (1000, 37), (20000, 3)])
 def test_submersion_curve_is_bitwise_the_reference(d, trials):
     # 37 rows of width 1000 fill two blocks of 16 and a third of 5; a row
-    # wider than SUBMERSION_BLOCK is scored alone.
-    assert 1000 < SUBMERSION_BLOCK < 20000
+    # wider than BLOCK_ELEMENTS is scored alone.
+    assert 1000 < BLOCK_ELEMENTS < 20000
     for seed in (0, 7):
         got = submersion_curve([d], trials=trials, seed=seed).y_values
         assert np.array_equal(got, [ref_submersion(d, trials, seed)])

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from periscore import scorefn
-from periscore.cli import main
+from periscore.cli import KIND_NAMES, main
 from periscore.scorefn import DenominatorNearZero
+
+from score_reference import ref_gradcheck
 
 
 def _run(argv):
@@ -139,6 +141,34 @@ def test_gradcheck_kind_whose_every_trial_hit_a_guard_fails(monkeypatch,
     assert "skipped   3" in out and "FAIL" in out and "PASS" not in out
 
 
+def test_gradcheck_nan_error_fails(monkeypatch, capsys):
+    jacobian = scorefn.jacobian
+
+    def one_nan_entry(kind, x):
+        j = jacobian(kind, x)
+        j.entries.flat[0] = math.nan
+        return j
+
+    monkeypatch.setattr(scorefn, "jacobian", one_nan_entry)
+    assert _run(["gradcheck", "--fn", "softmax", "--trials", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "max rel err nan" in out and "FAIL" in out and "PASS" not in out
+
+
+@pytest.mark.parametrize("fn, seed, dim, skipped", [
+    ("all", 42, 8, 0), ("all", 0, 8, 1),
+    ("siren-max", 0, 8, 2), ("siren-max", 0, 64, 3)])
+def test_gradcheck_is_the_per_trial_reference(capsys, fn, seed, dim, skipped):
+    # The siren-max runs skip trials on real pole guards, so blocks are
+    # halved down to the guarded trials.
+    assert _run(["gradcheck", "--fn", fn, "--seed", str(seed),
+                 "--dim", str(dim)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = KIND_NAMES if fn == "all" else [fn]
+    assert lines == ref_gradcheck(names, dim, 100, seed)
+    assert sum(int(l.split()[6]) for l in lines) == skipped
+
+
 # -- analyze -----------------------------------------------------------
 
 
@@ -224,6 +254,16 @@ def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "3074" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_train_negative_tap_every_exits_2(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax", "--tap-every", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "tap_every" in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_bad_dataset_string_exits_1(tmp_path):

@@ -371,6 +371,8 @@ def test_train_taps_are_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(steps=0)
+    with pytest.raises(ValueError, match="tap_every"):
+        _config(tap_every=-1)
     with pytest.raises(ValueError):
         cfg = _config()
         cfg.batch_size = 1

@@ -1,6 +1,7 @@
 """Unit tests for the score-function kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,13 @@ def test_overflowing_f_raises_non_finite_denominator(kind, x, bad):
         assert np.array_equal(exc.value.value, bad, equal_nan=True)
 
 
+def test_overflowing_f_raises_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDenominator):
+            scores(SOFTMAX, [800.0, 0.0])
+
+
 def test_siren_pole_raises_and_is_flagged():
     x = np.array([0.1, math.pi / 2])
     assert pole_mask(SIREN_MAX, x).tolist() == [False, True]
@@ -302,6 +310,27 @@ def test_jacobian_matches_finite_differences(kind):
         scale = max(np.abs(f).max(), np.abs(a).max(), 1.0)
         assert np.abs(a - f).max() / scale < 1e-6
         checked += 1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+def test_stacked_jacobians_are_bitwise_the_row_calls(kind):
+    xs = _rng(4).normal(size=(8, 6))
+    for fn in (jacobian, finite_diff_jacobian):
+        want = np.stack([fn(kind, x).entries for x in xs])
+        assert np.array_equal(fn(kind, xs).entries, want)
+        assert np.array_equal(fn(kind, xs.reshape(2, 4, 6)).entries,
+                              want.reshape(2, 4, 6, 6))
+
+
+def test_stacked_jacobian_guard_names_the_flat_index():
+    # sin(0.7) + sin(-0.7) = 0 in the second row.
+    xs = np.array([[0.3, 0.5], [0.7, -0.7]])
+    for fn in (jacobian, finite_diff_jacobian):
+        with pytest.raises(DenominatorNearZero) as exc:
+            fn(SIN_MAX, xs)
+        assert exc.value.index == 2
+    with pytest.raises(ValueError):
+        jacobian(SOFTMAX, np.ones((3, 1)))
 
 
 def test_jacobian_with_margin_matches_finite_differences():
