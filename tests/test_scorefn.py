@@ -314,6 +314,8 @@ def test_jacobian_matches_finite_differences(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
 def test_stacked_jacobians_are_bitwise_the_row_calls(kind):
+    # For sin-max, 4 of these rows have max|S| > 1, so the stack mixes
+    # finite-difference steps.
     xs = _rng(4).normal(size=(8, 6))
     for fn in (jacobian, finite_diff_jacobian):
         want = np.stack([fn(kind, x).entries for x in xs])
