@@ -49,6 +49,10 @@ class Cifar100Spec:
     path: str
     subset_size: int = 512
 
+    def __post_init__(self):
+        if self.subset_size < 1:
+            raise ValueError("subset_size must be >= 1")
+
 
 @dataclass
 class AdamSpec:
@@ -302,6 +306,9 @@ def _bin_tap(histograms, step, layer_index, xs, gs):
 def train(cfg):
     """Run the loop; failures become breakdown entries in the log."""
     data = build_dataset(cfg.dataset, cfg.seed)
+    if data.train_idx.size < cfg.batch_size:
+        raise ValueError(f"{data.train_idx.size} training images cannot "
+                         f"fill a batch of {cfg.batch_size}")
     model = tinynn.build_demo(cfg.demo, cfg.seed)
     opt = _make_optimizer(model.parameters(), cfg.optimizer)
     batch_rng = seeded_rng(cfg.seed + 1)

@@ -70,9 +70,9 @@ def score_rows(t, kind, tap_sink=None):
     """Apply scores(kind, .) along the last axis of a Tensor.
 
     Guard violations raise the usual ScoreError subclasses at forward
-    time.  Unlike the scalar kernels, siren-max is evaluated through its
-    pole (ScoreRows with through_pole=True): the normalized score and its
-    gradient stay finite and smooth there, so training need not abort.
+    time.  Unlike scores() and jacobian(), siren-max is evaluated through
+    its pole (ScoreRows with through_pole=True): the normalized score and
+    its gradient stay finite and smooth there, so training need not abort.
     tap_sink, when given, is called during backward with the row-shaped
     (inputs, gradients) arrays of this call site.
     """

@@ -30,12 +30,6 @@ EPS_VAR = 1e-12   # row variance at or below this raises DegenerateRow
 # value.
 _SIREN_FLOOR = 1e-30
 
-# Kinds whose scores are invariant under x -> x + 2*pi.
-PERIODIC_TAGS = frozenset(
-    {"sin-max-constant", "sin-max", "cos-max", "sin2-max",
-     "sin2-max-shifted", "sin-softmax", "siren-max"}
-)
-
 # The soft-margin kinds score element j as f(x_j - margin) against the
 # unshifted f of the other elements of its row.
 _MARGIN_TAGS = frozenset({"sm-softmax", "sm-taylor-softmax"})
@@ -145,15 +139,6 @@ ALL_KINDS = tuple(ScoreFunctionKind(tag) for tag in _F_FP)
 
 
 @dataclass
-class ScoreEval:
-    """One row's evaluation: intermediates f(x_i), their sum, scores S_j."""
-
-    intermediates: np.ndarray
-    sum: float
-    scores: np.ndarray
-
-
-@dataclass
 class JacobianMatrix:
     """Dense d x d matrix with entries[j, k] = dS_j/dx_k."""
 
@@ -174,19 +159,33 @@ def f_and_fp(kind, x):
     return _F_FP[kind.tag](kind, z)
 
 
+def _pole_gap(kind, x):
+    """1 - sin(x) for siren-max, the distance to its pole; else None."""
+    return 1.0 - np.sin(x) if kind.tag == "siren-max" else None
+
+
 def pole_mask(kind, x):
     """True where the intermediate itself is invalid (Siren-max pole)."""
-    if kind.tag == "siren-max":
-        return (1.0 - np.sin(x)) < EPS_POLE
-    return np.zeros(np.shape(x), dtype=bool)
+    gap = _pole_gap(kind, x)
+    return np.zeros(np.shape(x), dtype=bool) if gap is None else gap < EPS_POLE
+
+
+def _raise_first(cls, mask, values, rule):
+    """Raise cls at the first flat index where mask holds, carrying that
+    index and the entry of values there.  cls is a ScoreError subclass,
+    or a function from that entry to one."""
+    i = int(np.argmax(np.ravel(mask)))
+    v = float(np.ravel(values)[i])
+    if not isinstance(cls, type):
+        cls = cls(v)
+    raise cls(f"{rule}: {v} at flat index {i}", index=i, value=v)
 
 
 def _check_finite(x):
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argmax(~np.isfinite(np.ravel(x))))
-        raise NonFiniteInput(f"non-finite input at flat index {bad}",
-                             index=bad, value=float(np.ravel(x)[bad]))
+    finite = np.isfinite(x)
+    if not finite.all():
+        _raise_first(NonFiniteInput, ~finite, x, "non-finite input")
     return x
 
 
@@ -201,24 +200,16 @@ def check_denominators(denom):
     the min() test; the mask is built only when the guard fires."""
     a = np.abs(denom)
     if not (a.min() >= EPS_DEN and a.max() < DEN_MAX):
-        bad = int(np.argmin(denom_ok(denom)))
-        value = float(np.ravel(denom)[bad])
-        cls = (DenominatorNearZero if abs(value) < EPS_DEN
-               else NonFiniteDenominator)
-        raise cls(f"denominator {value} at index {bad}: need "
-                  f"{EPS_DEN} <= |denom| < {DEN_MAX}",
-                  index=bad, value=value)
+        _raise_first(lambda v: (DenominatorNearZero if abs(v) < EPS_DEN
+                                else NonFiniteDenominator),
+                     ~denom_ok(denom), denom,
+                     f"denominator outside {EPS_DEN} <= |d| < {DEN_MAX}")
 
 
 def _check_pole(kind, x):
-    if kind.tag != "siren-max":
-        return
-    mask = pole_mask(kind, x)
-    if np.any(mask):
-        bad = int(np.argmax(np.ravel(mask)))
-        raise PoleProximity(
-            f"siren-max pole: 1 - sin(x) < {EPS_POLE} at flat index {bad}",
-            index=bad, value=float(np.ravel(x)[bad]))
+    gap = _pole_gap(kind, x)
+    if gap is not None and np.any(gap < EPS_POLE):
+        _raise_first(PoleProximity, gap < EPS_POLE, x, "siren-max pole")
 
 
 class ScoreRows:
@@ -226,9 +217,9 @@ class ScoreRows:
 
     The row terms: num[j] = f(x_j) (at x_j - margin for the soft-margin
     kinds), off[j] the unshifted f(x_j) that element j adds to the other
-    elements' denominators, total = sum_i off[i], and the per-element
-    denominator denom[j] = total - off[j] + num[j] = M_j + num[j], where
-    M_j is the off-sum of the other elements.
+    elements' denominators, and the per-element denominator
+    denom[j] = sum_i off[i] - off[j] + num[j] = M_j + num[j], where M_j
+    is the off-sum of the other elements.
 
     Construction rejects non-finite inputs, and siren-max inputs within
     EPS_POLE of the pole unless through_pole, which evaluates them (see
@@ -249,8 +240,8 @@ class ScoreRows:
                 self.off, self._offp = _F_FP[kind.tag](kind, x)
             else:
                 self.off, self._offp = self.num, None
-            self.total = self.off.sum(axis=-1, keepdims=True)
-            self.denom = self.total - self.off + self.num
+            total = self.off.sum(axis=-1, keepdims=True)
+            self.denom = total - self.off + self.num
 
     def scores(self):
         """S_j = num[j] / denom[j]."""
@@ -289,10 +280,9 @@ def _rows(x, name):
 
 
 def scores(kind, x):
-    """Normalized scores S_j = f(x_j) / sum_i f(x_i) for one row."""
-    rows = ScoreRows(kind, _row(x, "scores"))
-    return ScoreEval(intermediates=rows.num, sum=float(rows.total[0]),
-                     scores=rows.scores())
+    """The scores S_j = num[j] / denom[j] (see ScoreRows) of one row x of
+    shape (d,), as a (d,) array."""
+    return ScoreRows(kind, _row(x, "scores")).scores()
 
 
 def jacobian(kind, x):
@@ -320,13 +310,18 @@ def finite_diff_jacobian(kind, x, h=1e-5):
     (..., d, d) as in jacobian().  When a row's normalization is
     near-singular (scores far outside [0, 1], e.g. sin-max with a small
     denominator) the base step would leave visible truncation error, so
-    each row's step shrinks with 1/max|S| of that row.  The 2d perturbed
-    rows of every row in the stack are scored as one batch, and the same
-    guards apply to them as to x.
+    each row's step shrinks with 1/max|S| of that row.  A siren-max row's
+    step is also at most 1e-3 of its distance sqrt(2 min(1 - sin x)) to
+    the pole, where f' grows without bound.  The 2d perturbed rows of
+    every row in the stack are scored as one batch, and the same guards
+    apply to them as to x.
     """
     x = _rows(x, "finite_diff_jacobian")
     s = ScoreRows(kind, x).scores()
     h = h / np.maximum(1.0, np.abs(s).max(axis=-1))[..., None, None]
+    gap = _pole_gap(kind, x)
+    if gap is not None:
+        h = np.minimum(h, 1e-3 * np.sqrt(2 * gap.min(-1))[..., None, None])
     d = x.shape[-1]
     steps = h * np.eye(d)
     x = x[..., None, :]
@@ -343,10 +338,7 @@ def whiten_rows(x):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     if np.any(var <= EPS_VAR):
-        bad = int(np.argmax(np.ravel(var <= EPS_VAR)))
-        value = float(np.ravel(var)[bad])
-        raise DegenerateRow(f"row {bad} variance {value} <= {EPS_VAR}",
-                            index=bad, value=value)
+        _raise_first(DegenerateRow, var <= EPS_VAR, var, "degenerate row")
     sigma = np.sqrt(var)
     return (x - mu) / sigma, sigma
 

@@ -407,8 +407,8 @@ def test_row_normalize_jacobian_matches_finite_differences():
 
 def test_prenormed_scores_are_scale_and_shift_invariant():
     x = _rng(6).normal(size=8)
-    a = prenormed_scores(SOFTMAX, x).scores
-    b = prenormed_scores(SOFTMAX, 10.0 * x + 3.0).scores
+    a = prenormed_scores(SOFTMAX, x)
+    b = prenormed_scores(SOFTMAX, 10.0 * x + 3.0)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -420,6 +420,6 @@ def test_prenormed_jacobian_matches_finite_differences():
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        col = (prenormed_scores(SIN_SOFTMAX, xp).scores
-               - prenormed_scores(SIN_SOFTMAX, xm).scores) / (2.0 * h)
+        col = (prenormed_scores(SIN_SOFTMAX, xp)
+               - prenormed_scores(SIN_SOFTMAX, xm)) / (2.0 * h)
         np.testing.assert_allclose(a[:, k], col, atol=1e-8)

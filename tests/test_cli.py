@@ -169,6 +169,14 @@ def test_gradcheck_is_the_per_trial_reference(capsys, fn, seed, dim, skipped):
     assert sum(int(l.split()[6]) for l in lines) == skipped
 
 
+def test_gradcheck_siren_max_near_its_pole_passes(capsys):
+    # A trial of this seed has min 1 - sin(x) just above EPS_POLE, where
+    # the finite-difference step must shrink with the distance to the pole.
+    assert _run(["gradcheck", "--fn", "siren-max", "--dim", "64",
+                 "--seed", "42"]) == 0
+    assert capsys.readouterr().out.split()[-1] == "PASS"
+
+
 # -- analyze -----------------------------------------------------------
 
 
@@ -253,6 +261,31 @@ def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "3074" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_cifar_subset_below_one_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(4 * 3074))
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax",
+                 "--dataset", f"cifar100:{data}:-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "subset_size" in err[0]
+    assert not out.exists()
+
+
+def test_train_cifar_subset_smaller_than_a_batch_exits_2(tmp_path, capsys):
+    # 10 records split into 8 training and 2 eval images; a batch is 16.
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(10 * 3074))
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax",
+                 "--dataset", f"cifar100:{data}:10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "8 training images" in err[0] and "batch of 16" in err[0]
     assert not out.exists()
 
 

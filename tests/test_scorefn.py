@@ -132,15 +132,12 @@ def test_kind_table_is_bitwise_the_reference(kind):
     assert _fp(kind, x[0, 0]) == ref_fp(kind, x[0, 0])
     checked = 0
     for row in x:
-        num, _, off, _, denom = ref_terms(kind, row)
+        num, _, _, _, denom = ref_terms(kind, row)
         if np.any(np.abs(denom) < EPS_DEN):
             with pytest.raises(DenominatorNearZero):
                 scores(kind, row)
             continue
-        ev = scores(kind, row)
-        assert np.array_equal(ev.intermediates, num)
-        assert ev.sum == off.sum()
-        assert np.array_equal(ev.scores, num / denom)
+        assert np.array_equal(scores(kind, row), num / denom)
         assert np.array_equal(jacobian(kind, row).entries,
                               ref_jacobian(kind, row))
         checked += 1
@@ -157,11 +154,10 @@ def test_shifted_kind_is_plain_kind_at_shifted_argument():
 
 def test_softmax_scores_match_direct_formula():
     x = np.array([0.1, -1.2, 2.0, 0.4])
-    ev = scores(SOFTMAX, x)
+    s = scores(SOFTMAX, x)
     expected = np.exp(x) / np.exp(x).sum()
-    np.testing.assert_allclose(ev.scores, expected, rtol=1e-14)
-    assert ev.scores.shape == (4,)
-    assert ev.sum == pytest.approx(np.exp(x).sum())
+    np.testing.assert_allclose(s, expected, rtol=1e-14)
+    assert isinstance(s, np.ndarray) and s.shape == (4,)
 
 
 def test_scores_requires_a_row():
@@ -173,21 +169,20 @@ def test_scores_requires_a_row():
 
 def test_margin_kind_with_zero_margin_matches_plain():
     x = _rng(0).normal(size=6)
-    np.testing.assert_array_equal(scores(SM_SOFTMAX, x).scores,
-                                  scores(SOFTMAX, x).scores)
+    np.testing.assert_array_equal(scores(SM_SOFTMAX, x), scores(SOFTMAX, x))
 
 
 def test_margin_kind_scores_each_element_against_unshifted_rest():
     kind = ScoreFunctionKind("sm-softmax", margin=1.5)
     x = _rng(1).normal(size=5)
-    ev = scores(kind, x)
+    s = scores(kind, x)
     e = np.exp(x)
     for j in range(5):
         num = math.exp(x[j] - 1.5)
         denom = e.sum() - e[j] + num
-        assert ev.scores[j] == pytest.approx(num / denom, rel=1e-14)
+        assert s[j] == pytest.approx(num / denom, rel=1e-14)
     # The margin suppresses every element relative to the plain case.
-    assert np.all(ev.scores < scores(SOFTMAX, x).scores)
+    assert np.all(s < scores(SOFTMAX, x))
 
 
 # -- guards ------------------------------------------------------------
@@ -269,6 +264,9 @@ def test_guard_errors_carry_location():
     assert exc.value.value == pytest.approx(0.0, abs=1e-12)
     # Every site in scorefn and analysis that raises a ScoreError, one
     # trigger each: each error carries the value that tripped the guard.
+    # The mask-based guards (indexed) also carry the flat index of the
+    # first failure, and their message names both; the last trigger
+    # guards a scalar, so it has no index.
     triggers = [
         (NonFiniteInput, lambda: scores(SOFTMAX, np.array([0.0, np.nan]))),
         (DenominatorNearZero, lambda: jacobian(SIN_MAX, [0.7, -0.7])),
@@ -277,10 +275,15 @@ def test_guard_errors_carry_location():
         (DegenerateRow, lambda: whiten_rows(np.ones((2, 3)))),
         (PoleProximity, lambda: cosmax_extremum_interval(-1.0)),
     ]
-    for cls, trigger in triggers:
+    for n, (cls, trigger) in enumerate(triggers):
         with pytest.raises(cls) as exc:
             trigger()
         assert exc.value.value is not None, cls.__name__
+        indexed = n < len(triggers) - 1
+        if indexed:
+            assert type(exc.value.index) is int, cls.__name__
+            assert (f"{exc.value.value} at flat index {exc.value.index}"
+                    in str(exc.value)), cls.__name__
     assert ({cls for cls, _ in triggers}
             == set(ScoreError.__subclasses__()))
 
@@ -290,7 +293,7 @@ def test_guard_errors_carry_location():
 
 def test_softmax_jacobian_closed_form():
     x = np.array([0.3, -0.5, 1.1])
-    s = scores(SOFTMAX, x).scores
+    s = scores(SOFTMAX, x)
     expected = np.diag(s) - np.outer(s, s)
     np.testing.assert_allclose(jacobian(SOFTMAX, x).entries, expected,
                                atol=1e-14)
@@ -346,6 +349,6 @@ def test_jacobian_with_margin_matches_finite_differences():
 def test_periodic_kinds_are_periodic():
     x = _rng(3).normal(size=4)
     for kind in (SIN_MAX, SIN2_MAX, SIN2_MAX_SHIFTED, SIREN_MAX):
-        a = scores(kind, x).scores
-        b = scores(kind, x + 2.0 * math.pi).scores
+        a = scores(kind, x)
+        b = scores(kind, x + 2.0 * math.pi)
         np.testing.assert_allclose(a, b, atol=1e-12)
