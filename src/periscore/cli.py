@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -162,10 +161,6 @@ def cmd_train(args):
         print(f"error: {err}", file=sys.stderr)
         return 1
     if isinstance(dataset, harness.Cifar100Spec):
-        if not os.path.isfile(dataset.path):
-            print(f"error: cannot read dataset at {dataset.path}",
-                  file=sys.stderr)
-            return 2
         shape = (32, 32, 3)
         classes = 100
     else:
@@ -252,7 +247,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.fn_impl(args)
-    except (ValueError, ScoreError) as err:
+    except (OSError, ValueError, ScoreError) as err:
         print(f"error: {err}", file=sys.stderr)
         code = 2
     raise SystemExit(code)

@@ -62,16 +62,10 @@ class AdamSpec:
 
 
 @dataclass
-class SgdSpec:
-    lr: float = 1e-2
-    momentum: float = 0.9
-
-
-@dataclass
 class TrainConfig:
     demo: DemoConfig
     dataset: object           # SyntheticSpec or Cifar100Spec
-    optimizer: object = field(default_factory=AdamSpec)
+    optimizer: AdamSpec = field(default_factory=AdamSpec)
     steps: int = 500
     batch_size: int = 16
     seed: int = 7
@@ -84,6 +78,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.tap_every < 0:
             raise ValueError("tap_every must be >= 0")
+        if not isinstance(self.optimizer, AdamSpec):
+            raise TypeError(
+                f"unknown optimizer spec {type(self.optimizer).__name__}")
 
 
 @dataclass
@@ -150,7 +147,8 @@ def load_cifar100(path, subset_size):
     """Parse CIFAR-100 binary records (coarse byte, fine byte, CHW pixels).
 
     Pixels are scaled to [0, 1] and reshaped to HWC; the first
-    subset_size records are taken in file order.
+    subset_size records are taken in file order, and a file holding fewer
+    raises CifarFormatError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -158,6 +156,9 @@ def load_cifar100(path, subset_size):
         raise CifarFormatError(
             f"file length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+    if subset_size > len(records):
+        raise CifarFormatError(f"subset_size {subset_size} exceeds the "
+                               f"{len(records)} records in the file")
     records = records[:subset_size]
     fine = records[:, 1].astype(np.int64)
     if np.any(fine >= 100):
@@ -179,11 +180,11 @@ def build_dataset(spec, seed):
     raise TypeError(f"unknown dataset spec {type(spec).__name__}")
 
 
-# -- optimizers --------------------------------------------------------
+# -- optimizer ---------------------------------------------------------
 
 
-class _FlatParams:
-    """All parameters in one float64 buffer, so an optimizer step is a few
+class Adam:
+    """Adam over all parameters in one float64 buffer, so a step is a few
     whole-buffer numpy calls instead of several per parameter.
 
     Construction copies each parameter into `flat` and rebinds its `data`
@@ -192,11 +193,11 @@ class _FlatParams:
     bitwise equal.
     """
 
-    def __init__(self, params):
+    def __init__(self, params, spec):
         self.params = params
+        self.spec = spec
         self.flat = np.empty(sum(p.data.size for p in params))
         self.grad = np.empty_like(self.flat)
-        self.tmp = np.empty_like(self.flat)
         self._grad_views = []
         off = 0
         for p in params:
@@ -206,31 +207,22 @@ class _FlatParams:
             p.data = view
             self._grad_views.append(self.grad[off:off + n].reshape(view.shape))
             off += n
-
-    def gather_grads(self):
-        """Copy every p.grad into `grad` (zeros where it is None)."""
-        for p, view in zip(self.params, self._grad_views):
-            if p.grad is None:
-                view.fill(0.0)
-            else:
-                view[...] = p.grad
-        return self.grad
-
-
-class Adam(_FlatParams):
-    def __init__(self, params, spec):
-        super().__init__(params)
-        self.spec = spec
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self.mhat = np.empty_like(self.flat)
         self.vhat = np.empty_like(self.flat)
         self.t = 0
 
     def step(self):
         s = self.spec
         self.t += 1
-        g = self.gather_grads()
-        m, v, mhat, vhat = self.m, self.v, self.tmp, self.vhat
+        # Gather every p.grad into `grad` (zeros where it is None).
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+        g, m, v, mhat, vhat = self.grad, self.m, self.v, self.mhat, self.vhat
         # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         m *= s.beta1
         np.multiply(1 - s.beta1, g, out=mhat)
@@ -247,28 +239,6 @@ class Adam(_FlatParams):
         mhat *= s.lr
         mhat /= vhat
         self.flat -= mhat
-
-
-class Sgd(_FlatParams):
-    def __init__(self, params, spec):
-        super().__init__(params)
-        self.spec = spec
-        self.buf = np.zeros_like(self.flat)
-
-    def step(self):
-        # buf = momentum*buf + g;  p -= lr*buf
-        self.buf *= self.spec.momentum
-        self.buf += self.gather_grads()
-        np.multiply(self.spec.lr, self.buf, out=self.tmp)
-        self.flat -= self.tmp
-
-
-def _make_optimizer(params, spec):
-    if isinstance(spec, AdamSpec):
-        return Adam(params, spec)
-    if isinstance(spec, SgdSpec):
-        return Sgd(params, spec)
-    raise TypeError(f"unknown optimizer spec {type(spec).__name__}")
 
 
 # -- training ----------------------------------------------------------
@@ -310,7 +280,7 @@ def train(cfg):
         raise ValueError(f"{data.train_idx.size} training images cannot "
                          f"fill a batch of {cfg.batch_size}")
     model = tinynn.build_demo(cfg.demo, cfg.seed)
-    opt = _make_optimizer(model.parameters(), cfg.optimizer)
+    opt = Adam(model.parameters(), cfg.optimizer)
     batch_rng = seeded_rng(cfg.seed + 1)
     log = TrainRunLog(records=[])
     runaway_streak = 0

@@ -36,7 +36,6 @@ from periscore.scorefn import (
     COS_MAX,
     DEN_MAX,
     SIN2_MAX,
-    SIN_MAX_CONSTANT,
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
@@ -44,7 +43,6 @@ from periscore.scorefn import (
     DenominatorNearZero,
     NonFiniteDenominator,
     PoleProximity,
-    scores,
     seeded_rng,
 )
 

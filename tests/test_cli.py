@@ -251,6 +251,20 @@ def test_train_missing_cifar_path_exits_2(tmp_path):
                  "--out", str(tmp_path / "run.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curves", "--fn", "softmax", "--x-min", "-1", "--x-max", "1",
+     "--steps", "5"],
+    ["analyze", "--report", "submersion"],
+    ["train", "--score", "softmax", "--steps", "2"],
+], ids=["curves", "analyze", "train"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
     # 5000 bytes is not a whole number of 3074-byte records.
     data = tmp_path / "bad.bin"

@@ -16,8 +16,6 @@ from periscore.harness import (
     CifarFormatError,
     Dataset,
     GradientHistogram,
-    Sgd,
-    SgdSpec,
     StepRecord,
     SyntheticSpec,
     TrainConfig,
@@ -108,6 +106,13 @@ def test_cifar_loader_rejects_truncated_file(tmp_path):
         load_cifar100(str(path), subset_size=1)
 
 
+def test_cifar_loader_rejects_subset_larger_than_the_file(tmp_path):
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 20)
+    with pytest.raises(CifarFormatError, match="subset_size 1000 .* 20 "):
+        load_cifar100(str(path), subset_size=1000)
+
+
 def test_cifar_loader_rejects_bad_labels(tmp_path):
     path = tmp_path / "bad.bin"
     rec = bytearray(3074)
@@ -144,20 +149,9 @@ def _reference_adam(datas, grads_per_step, spec):
     return datas
 
 
-def _reference_sgd(datas, grads_per_step, spec):
-    buf = [np.zeros_like(d) for d in datas]
-    for grads in grads_per_step:
-        for i, g in enumerate(grads):
-            g = g if g is not None else np.zeros_like(datas[i])
-            buf[i] = spec.momentum * buf[i] + g
-            datas[i] = datas[i] - spec.lr * buf[i]
-    return datas
-
-
 @pytest.mark.parametrize("opt_cls, spec, reference", [
     (Adam, AdamSpec(lr=1e-2), _reference_adam),
-    (Sgd, SgdSpec(lr=1e-2, momentum=0.9), _reference_sgd),
-], ids=["adam", "sgd"])
+], ids=["adam"])
 def test_flat_optimizer_matches_per_parameter_reference(opt_cls, spec,
                                                         reference):
     rng = _rng(20)
@@ -235,11 +229,6 @@ def test_train_is_deterministic():
     b = train(_config(steps=10))
     assert [r.loss for r in a.records] == [r.loss for r in b.records]
     assert a.final_eval_accuracy == b.final_eval_accuracy
-
-
-def test_train_with_sgd():
-    log = train(_config(steps=5, optimizer=SgdSpec(lr=1e-3)))
-    assert len(log.records) == 5
 
 
 def test_train_breakdown_is_a_result_not_an_exception():
@@ -373,6 +362,8 @@ def test_config_validation():
         _config(steps=0)
     with pytest.raises(ValueError, match="tap_every"):
         _config(tap_every=-1)
+    with pytest.raises(TypeError):
+        _config(optimizer=object())
     with pytest.raises(ValueError):
         cfg = _config()
         cfg.batch_size = 1
