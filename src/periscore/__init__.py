@@ -35,10 +35,6 @@ from .analysis import (
     filter_gain,
     gradient_curve,
     prenorm_gradient_curve,
-    prenormed_jacobian,
-    prenormed_scores,
-    row_normalize,
-    row_normalize_jacobian,
     saturation_fraction,
     sin2max_extremum_location,
     sinmax_constant_expected_gradient,

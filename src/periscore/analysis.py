@@ -2,8 +2,8 @@
 
 Closed-form extremum results, expected-value arguments for the
 constant-term kinds, band-pass gain of the normalization quotient,
-Monte-Carlo saturation measurement, row pre-normalization, and curve
-emission for the figure-style plots.
+Monte-Carlo saturation measurement, the pre-normalized gradient curve,
+and curve emission for the figure-style plots.
 """
 
 from __future__ import annotations
@@ -16,21 +16,17 @@ import numpy as np
 
 from .scorefn import (
     SIN_MAX_CONSTANT,
-    JacobianMatrix,
     PoleProximity,
     ScoreFunctionKind,
     ScoreRows,
-    _row,
     check_denominators,
     denom_ok,
     f_and_fp,
-    jacobian,
     pole_mask,
-    scores,
     seeded_rng,
-    whiten_rows,
-    whiten_vjp,
 )
+# Not called here: perfbench/spans.py times these through this module.
+from .scorefn import jacobian, scores  # noqa: F401
 
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
@@ -310,28 +306,6 @@ def extremum_vs_m_curve(kind, m_values):
                        y_values=ys,
                        label=f"{kind.tag} extremum vs M",
                        params={"skipped_m": int(np.isnan(ys).sum())})
-
-
-def row_normalize(x):
-    """Whiten one row: subtract the mean, divide by the population std."""
-    return whiten_rows(_row(x, "row_normalize"))[0]
-
-
-def row_normalize_jacobian(x):
-    """Analytic Jacobian of row_normalize: the VJP of each unit cotangent."""
-    z, sigma = whiten_rows(_row(x, "row_normalize_jacobian"))
-    return JacobianMatrix(entries=whiten_vjp(z, sigma, np.eye(z.size)))
-
-
-def prenormed_scores(kind, x):
-    """scores(kind, row_normalize(x))."""
-    return scores(kind, row_normalize(x))
-
-
-def prenormed_jacobian(kind, x):
-    """Chain-rule Jacobian of the pre-normalized scores."""
-    return JacobianMatrix(entries=jacobian(kind, row_normalize(x)).entries
-                          @ row_normalize_jacobian(x).entries)
 
 
 def submersion_curve(d_values, trials=1000, seed=7):

@@ -31,6 +31,8 @@ def no_grad():
 
 def _unbroadcast(grad, shape):
     """Sum grad down to `shape` (reverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, s in enumerate(shape):
@@ -196,6 +198,18 @@ class Tensor:
 
 def parameter(data):
     return Tensor(data, requires_grad=True)
+
+
+def linear(x, w, b):
+    """x @ w + b as one node, with the same arithmetic as those two ops."""
+    def back(g):
+        return (
+            (x, _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape)),
+            (w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape)),
+            (b, _unbroadcast(g, b.shape)),
+        )
+
+    return node(x.data @ w.data + b.data, (x, w, b), back)
 
 
 def cross_entropy(logits, labels):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -170,8 +171,16 @@ def cmd_train(args):
                                args.scale, classes)
     cfg = harness.TrainConfig(demo=demo, dataset=dataset, steps=args.steps,
                               seed=args.seed, tap_every=args.tap_every)
-    log = harness.train(cfg)
-    harness.write_run_log(log, args.out)
+    # Open the log first, so that an unwritable --out fails before step 1.
+    with open(args.out, "w") as fh:
+        try:
+            log = harness.train(cfg)
+        except BaseException:
+            # A run that ended in an error leaves no log behind.
+            fh.close()
+            os.remove(args.out)
+            raise
+        harness.write_run_log(log, fh)
     if log.taps:
         harness.write_histograms(log.taps, args.out + ".taps.csv")
     if log.breakdown is not None:

@@ -333,18 +333,18 @@ def train(cfg):
 # -- serialization -----------------------------------------------------
 
 
-def write_run_log(log, path):
-    """JSON Lines: one object per step, then the terminal object."""
-    with open(path, "w") as fh:
-        for r in log.records:
-            fh.write(json.dumps({"step": r.step, "loss": r.loss,
-                                 "acc": r.train_accuracy,
-                                 "grad_norm": r.grad_norm}) + "\n")
-        if log.breakdown is not None:
-            fh.write(json.dumps({"breakdown": vars(log.breakdown)}) + "\n")
-        else:
-            fh.write(json.dumps(
-                {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
+def write_run_log(log, fh):
+    """JSON Lines to the open text file fh: one object per step, then the
+    terminal object."""
+    for r in log.records:
+        fh.write(json.dumps({"step": r.step, "loss": r.loss,
+                             "acc": r.train_accuracy,
+                             "grad_norm": r.grad_norm}) + "\n")
+    if log.breakdown is not None:
+        fh.write(json.dumps({"breakdown": vars(log.breakdown)}) + "\n")
+    else:
+        fh.write(json.dumps(
+            {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
 
 
 def read_run_log(path):

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, node, parameter
+from .autodiff import Tensor, linear, no_grad, node, parameter
 from .scorefn import (ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng,
                       whiten_rows, whiten_vjp)
 
@@ -94,6 +94,39 @@ def normalize_rows(t):
     return node(z, (t,), lambda g: ((t, whiten_vjp(z, sigma, g)),))
 
 
+# Attention's reshapes and q.kT, each one node that makes the same numpy
+# calls, in the same order, as the chain of generic ops it stands for.
+
+
+def _split_heads(t, heads):
+    """(B, n, d) -> (B, heads, n, d / heads)."""
+    b, n, d = t.shape
+    out = np.transpose(t.data.reshape(b, n, heads, d // heads), (0, 2, 1, 3))
+    return node(out, (t,), lambda g: (
+        (t, np.transpose(g, (0, 2, 1, 3)).reshape(t.shape)),))
+
+
+def _merge_heads(t):
+    """(B, heads, n, dh) -> (B, n, heads * dh), the inverse of _split_heads."""
+    b, h, n, dh = t.shape
+    out = np.transpose(t.data, (0, 2, 1, 3)).reshape(b, n, h * dh)
+    return node(out, (t,), lambda g: (
+        (t, np.transpose(g.reshape(b, n, h, dh), (0, 2, 1, 3))),))
+
+
+def _scaled_logits(q, k, scale):
+    """(q @ kT) * scale for a constant float scale."""
+    kt = np.transpose(k.data, (0, 1, 3, 2))
+
+    def back(g):
+        gs = g * scale
+        return ((q, gs @ np.swapaxes(kt, -1, -2)),
+                (k, np.transpose(np.swapaxes(q.data, -1, -2) @ gs,
+                                 (0, 1, 3, 2))))
+
+    return node((q.data @ kt) * scale, (q, k), back)
+
+
 # -- layers ------------------------------------------------------------
 
 
@@ -124,17 +157,11 @@ class AttentionBlock:
     def forward(self, x, step=None, tap=None):
         cfg = self.cfg
         d, h = cfg.embed_dim, cfg.num_heads
-        dh = d // h
-        b, n, _ = x.shape
-
-        def split(t):
-            return t.reshape(b, n, h, dh).transpose((0, 2, 1, 3))
-
-        q = split(x @ self.wq + self.bq)
-        k = split(x @ self.wk + self.bk)
-        v = split(x @ self.wv + self.bv)
+        q = _split_heads(linear(x, self.wq, self.bq), h)
+        k = _split_heads(linear(x, self.wk, self.bk), h)
+        v = _split_heads(linear(x, self.wv, self.bv), h)
         scale = 1.0 / d if cfg.score_scale == "inv_dmodel" else 1.0 / math.sqrt(d)
-        raw = (q @ k.transpose((0, 1, 3, 2))) * scale
+        raw = _scaled_logits(q, k, scale)
         sink = None if tap is None else partial(tap, self.layer_index)
         try:
             if cfg.prenormalize:
@@ -143,8 +170,7 @@ class AttentionBlock:
         except ScoreError as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
         self.last_scores = s.data  # fresh array, never written in place
-        out = (s @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
-        return out @ self.wo + self.bo
+        return linear(_merge_heads(s @ v), self.wo, self.bo)
 
 
 class MlpBlock:
@@ -159,7 +185,7 @@ class MlpBlock:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, x):
-        return (x @ self.w1 + self.b1).gelu() @ self.w2 + self.b2
+        return linear(linear(x, self.w1, self.b1).gelu(), self.w2, self.b2)
 
 
 class DemoModel:
@@ -205,12 +231,12 @@ class DemoModel:
         return x.reshape(b, self.n_tokens, p * p * c)
 
     def forward(self, images, step=None):
-        x = Tensor(self.patchify(images)) @ self.w_embed + self.b_embed
+        x = linear(Tensor(self.patchify(images)), self.w_embed, self.b_embed)
         for attn, mlp in self.blocks:
             x = x + attn.forward(x, step=step, tap=self.tap)
             x = x + mlp.forward(x)
         pooled = x.mean(axis=1)
-        return pooled @ self.w_head + self.b_head
+        return linear(pooled, self.w_head, self.b_head)
 
 
 def build_demo(cfg, seed):

@@ -8,6 +8,9 @@ Siren-max uses the plain formula, so inputs must stay off its pole.
 
 The extremum search, the submersion curve and the gradcheck command are
 kept here in their one-search-at-a-time, one-row-at-a-time form.
+row_normalize and the prenormed helpers are one-row wrappers of the
+library's whitening kernel, which the tests check against the closed
+form and finite differences.
 """
 
 import math
@@ -23,7 +26,10 @@ from periscore.scorefn import (
     ScoreFunctionKind,
     finite_diff_jacobian,
     jacobian,
+    scores,
     seeded_rng,
+    whiten_rows,
+    whiten_vjp,
 )
 
 # Non-default parameters, next to the eleven default kinds.
@@ -160,6 +166,27 @@ def ref_whiten_jacobian(x):
     sigma = np.sqrt(np.var(x))
     z = (x - x.mean()) / sigma
     return (np.eye(d) - np.ones((d, d)) / d - np.outer(z, z) / d) / sigma
+
+
+def row_normalize(x):
+    """Whiten one row: subtract the mean, divide by the population std."""
+    return whiten_rows(np.asarray(x, dtype=np.float64))[0]
+
+
+def row_normalize_jacobian(x):
+    """Jacobian of row_normalize: whiten_vjp of each unit cotangent."""
+    z, sigma = whiten_rows(np.asarray(x, dtype=np.float64))
+    return whiten_vjp(z, sigma, np.eye(z.size))
+
+
+def prenormed_scores(kind, x):
+    """scores(kind, row_normalize(x))."""
+    return scores(kind, row_normalize(x))
+
+
+def prenormed_jacobian(kind, x):
+    """Chain-rule Jacobian of the pre-normalized scores."""
+    return jacobian(kind, row_normalize(x)).entries @ row_normalize_jacobian(x)
 
 
 def ref_diag_gradient_fixed_m(kind, m, x):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from periscore import scorefn
+from periscore import harness, scorefn
 from periscore.cli import KIND_NAMES, main
 from periscore.scorefn import DenominatorNearZero
 
@@ -263,6 +263,18 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_training(tmp_path, capsys, monkeypatch):
+    def must_not_train(cfg):
+        raise AssertionError("harness.train ran before --out was opened")
+
+    monkeypatch.setattr(harness, "train", must_not_train)
+    out = tmp_path / "missing" / "r.jsonl"
+    assert _run(["train", "--score", "cos-max", "--depth", "4",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_train_bad_cifar_length_exits_2(tmp_path, capsys):

@@ -401,7 +401,8 @@ def test_run_log_roundtrip_completed(tmp_path):
                                StepRecord(2, 0.4, 0.5, 1.5)],
                       final_eval_accuracy=0.75)
     path = tmp_path / "run.jsonl"
-    write_run_log(log, path)
+    with open(path, "w") as fh:
+        write_run_log(log, fh)
     back = read_run_log(path)
     assert back.final_eval_accuracy == 0.75
     assert back.breakdown is None
@@ -413,7 +414,8 @@ def test_run_log_roundtrip_breakdown(tmp_path):
     log = TrainRunLog(records=[StepRecord(1, 0.5, 0.25, 2.0)],
                       breakdown=Breakdown(step=2, cause="GradNormRunaway"))
     path = tmp_path / "run.jsonl"
-    write_run_log(log, path)
+    with open(path, "w") as fh:
+        write_run_log(log, fh)
     back = read_run_log(path)
     assert back.breakdown.step == 2
     assert back.breakdown.cause == "GradNormRunaway"

@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from periscore.autodiff import Tensor, cross_entropy, no_grad, parameter
+from periscore.autodiff import (Tensor, cross_entropy, linear, no_grad,
+                                parameter)
 from periscore.model import (
     AttentionBlock,
     AttentionConfig,
@@ -114,6 +115,25 @@ def test_matmul_gradients_match_finite_differences():
     loss.backward()
     np.testing.assert_allclose(a.grad, _fd_grad(run, a.data), atol=1e-6)
     np.testing.assert_allclose(b.grad, _fd_grad(run, b.data), atol=1e-6)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 6, 4)],
+                         ids=["2d-head", "3d-tokens"])
+def test_linear_is_bitwise_matmul_plus_bias(x_shape):
+    rng = _rng(4)
+    x0 = rng.normal(size=x_shape)
+    w0 = rng.normal(size=(4, 7))
+    b0 = rng.normal(size=7)
+    c = rng.normal(size=x_shape[:-1] + (7,))
+    runs = []
+    for op in (lambda x, w, b: linear(x, w, b),
+               lambda x, w, b: x @ w + b):
+        x, w, b = parameter(x0), parameter(w0), parameter(b0)
+        y = op(x, w, b)
+        (y * c).sum().backward()
+        runs.append((y.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def test_gelu_and_log_softmax_gradients():
@@ -317,6 +337,69 @@ def test_attention_forward_scores_are_rows_of_probabilities():
     assert block.last_scores.shape == (1, 2, 5, 5)
     np.testing.assert_allclose(block.last_scores.sum(axis=-1), 1.0,
                                atol=1e-12)
+
+
+def _generic_attention(block, x):
+    """AttentionBlock.forward written with the generic Tensor ops."""
+    cfg = block.cfg
+    d, h = cfg.embed_dim, cfg.num_heads
+    b, n, _ = x.shape
+
+    def split(t):
+        return t.reshape(b, n, h, d // h).transpose((0, 2, 1, 3))
+
+    q = split(x @ block.wq + block.bq)
+    k = split(x @ block.wk + block.bk)
+    v = split(x @ block.wv + block.bv)
+    scale = 1.0 / d if cfg.score_scale == "inv_dmodel" else 1.0 / math.sqrt(d)
+    raw = (q @ k.transpose((0, 1, 3, 2))) * scale
+    if cfg.prenormalize:
+        raw = normalize_rows(raw)
+    s = score_rows(raw, cfg.score_kind)
+    out = (s @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
+    return out @ block.wo + block.bo
+
+
+@pytest.mark.parametrize("prenorm", [False, True], ids=["raw", "prenorm"])
+@pytest.mark.parametrize("scale", ["inv_dmodel", "inv_sqrt_dmodel"])
+def test_attention_forward_is_bitwise_the_generic_ops(scale, prenorm):
+    cfg = AttentionConfig(embed_dim=8, num_heads=2, score_kind=SIN_SOFTMAX,
+                          score_scale=scale, prenormalize=prenorm)
+    block = AttentionBlock(cfg, _rng(5), layer_index=0)
+    x0 = _rng(13).normal(size=(2, 5, 8))
+    c = _rng(14).normal(size=(2, 5, 8))
+    runs = []
+    for forward in (block.forward, partial(_generic_attention, block)):
+        for p in block.parameters():
+            p.grad = None
+        x = parameter(x0)
+        out = forward(x)
+        (out * c).sum().backward()
+        runs.append([out.data, x.grad] + [p.grad for p in block.parameters()])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("prenorm", [False, True], ids=["raw", "prenorm"])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_loss_graph_size(monkeypatch, depth, prenorm):
+    # Per block: 12 attention nodes (+1 with prenorm) and 4 MLP nodes.
+    # Outside the blocks: the patch constant, the embedding, the pooling
+    # sum, its scale constant and product, the head, and cross-entropy's
+    # two nodes.
+    model = build_demo(_demo_config(SIN_SOFTMAX, depth, prenorm), seed=2)
+    images = _rng(12).normal(size=(3, 8, 8, 1))
+    created = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    loss = cross_entropy(model.forward(images), np.array([0, 1, 2]))
+    assert loss._parents
+    assert len(created) == (16 + prenorm) * depth + 8
 
 
 def test_export_attention_shapes():
