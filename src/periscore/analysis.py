@@ -31,9 +31,9 @@ from .scorefn import jacobian, scores  # noqa: F401
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 
-# Batched jobs (submersion_curve, the gradcheck command) score at most this
-# many elements per kernel call, so their temporaries stay near 128 KiB
-# whatever the row width.
+# Batched jobs (submersion_curve, the gradcheck command, the extremum
+# grid's (M, x) blocks) score at most this many elements per kernel call,
+# so their temporaries stay near 128 KiB whatever the row width.
 BLOCK_ELEMENTS = 16384
 
 
@@ -92,16 +92,14 @@ def diag_gradient_fixed_m(kind, m, x):
     x = np.asarray(x, dtype=np.float64)
     ok = ~pole_mask(kind, x)
     f, fp = f_and_fp(kind, np.where(ok, x, 0.0))
-    return _fixed_m_quotient(m, ok, f, fp())
+    return np.where(*_fixed_m_quotient(m, ok, f, fp()), np.nan)
 
 
 def _fixed_m_quotient(m, ok, f, fp):
-    """M*fp/(M+f)^2 where ok and denom_ok(M+f), NaN elsewhere."""
+    """(live, M*fp/(M+f)^2), live where ok and denom_ok(M+f)."""
     denom = m + f
-    ok = ok & denom_ok(denom)
-    out = np.full(denom.shape, np.nan)
-    np.square(denom, out=out, where=ok)
-    return np.divide(m * fp, out, out=out, where=ok)
+    with np.errstate(all="ignore"):
+        return ok & denom_ok(denom), m * fp / np.square(denom)
 
 
 def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
@@ -136,9 +134,10 @@ def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
 def _extrema(kind, m_values, mode):
     """extreme_diag_gradient for each M, as an array.
 
-    f and f' are evaluated on the grid once; each M's coarse pass reuses
-    them, and every (M, sign) search then refines its grid maximum in
-    one lockstep golden-section search.
+    One pass over the extremum grid, in blocks of at most BLOCK_ELEMENTS
+    (M, x) points, keeps each (M, sign)'s first largest sign * gradient,
+    guard points counting as -inf, as nanargmax would; one lockstep
+    golden-section search then refines them all.
     """
     xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
     ok = ~pole_mask(kind, xs)
@@ -147,22 +146,29 @@ def _extrema(kind, m_values, mode):
     ms = np.asarray(m_values, dtype=np.float64)
     signs = np.array([1.0, -1.0] if mode == "abs"
                      else [1.0 if mode == "max" else -1.0])
-    peak = np.full((ms.size, signs.size), np.nan)
+    peak = np.full((ms.size, signs.size), -np.inf)
     at = np.zeros(peak.shape, dtype=np.intp)
-    for k, m in enumerate(ms):
-        ys = _fixed_m_quotient(m, ok, f, fp)
-        if np.any(np.isfinite(ys)):
-            for s, sign in enumerate(signs):
-                at[k, s] = np.nanargmax(sign * ys)
-                peak[k, s] = sign * ys[at[k, s]]
-    k, s = np.nonzero(~np.isnan(peak))
+    rows = np.arange(ms.size)
+    step = max(1, BLOCK_ELEMENTS // ms.size)
+    for start in range(0, xs.size, step):
+        cut = slice(start, start + step)
+        live, ys = _fixed_m_quotient(ms[:, None], ok[cut], f[cut], fp[cut])
+        dead = ~live
+        for s, sign in enumerate(signs):
+            np.copyto(ys, -sign * np.inf, where=dead)
+            j = ys.argmax(axis=1) if sign > 0 else ys.argmin(axis=1)
+            top = sign * ys[rows, j]
+            win = top > peak[:, s]
+            peak[win, s], at[win, s] = top[win], start + j[win]
+    k, s = np.nonzero(peak > -np.inf)
     i = at[k, s]
     best = _golden_refine(kind, ms[k], signs[s],
                           xs[np.maximum(i - 1, 0)],
                           xs[np.minimum(i + 1, xs.size - 1)])
     # The grid value wins only when strictly larger, so a tie keeps the
     # refined value (and the sign of a zero) that the scalar search kept.
-    peak[k, s] = signs[s] * np.where(peak[k, s] > best, peak[k, s], best)
+    grid, peak = peak[k, s], np.full(peak.shape, np.nan)
+    peak[k, s] = signs[s] * np.where(grid > best, grid, best)
     if mode != "abs":
         return peak[:, 0]
     vmax, vmin = peak.T
@@ -247,7 +253,8 @@ def _diag_entries_rows(kind, rows):
     Rows hitting a guard (a pole, a near-zero or non-finite denominator)
     are dropped whole.
     """
-    terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)])
+    terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)],
+                      through_pole=True)
     live = denom_ok(terms.denom).all(axis=-1)
     return terms.diag()[live].ravel(), len(rows) - int(live.sum())
 

@@ -244,7 +244,7 @@ class Adam:
 # -- training ----------------------------------------------------------
 
 
-def _eval_accuracy(model, data, idx, batch=64):
+def _eval_accuracy(model, data, idx, batch):
     correct = 0
     with no_grad():
         for start in range(0, idx.size, batch):
@@ -324,7 +324,8 @@ def train(cfg):
         opt.step()
 
     try:
-        log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx)
+        log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx,
+                                                 cfg.batch_size)
     except BreakdownSignal:
         log.breakdown = Breakdown(step=cfg.steps, cause="ScoreError")
     return log

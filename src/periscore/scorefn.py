@@ -335,12 +335,12 @@ def whiten_rows(x):
     """(z, sigma): z = (x - mean) / sigma along the last axis, sigma the
     population std.  DegenerateRow at the first row (flat row index)
     whose variance is <= EPS_VAR, with that variance as its value."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = (c * c).mean(axis=-1, keepdims=True)
     if np.any(var <= EPS_VAR):
         _raise_first(DegenerateRow, var <= EPS_VAR, var, "degenerate row")
     sigma = np.sqrt(var)
-    return (x - mu) / sigma, sigma
+    return c / sigma, sigma
 
 
 def whiten_vjp(z, sigma, g):

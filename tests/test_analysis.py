@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from periscore import analysis
 from periscore.analysis import (
     BLOCK_ELEMENTS,
     GRID_RANGE,
@@ -128,6 +129,51 @@ def test_extremum_search_is_bitwise_the_reference(kind):
             assert np.array_equal(curve.y_values, np.abs(want),
                                   equal_nan=True)
             assert curve.params["skipped_m"] == int(np.isnan(want).sum())
+
+
+@pytest.mark.parametrize("block", [1, 37])
+def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
+                                                           block):
+    # A coarse grid keeps the one-column blocks affordable.  The brackets
+    # handed to the refinement pin down which grid point each search
+    # kept, also where tied grid values give the same final value.
+    monkeypatch.setattr(analysis, "GRID_STEP", 0.05)
+    brackets = []
+    refine = analysis._golden_refine
+
+    def spy(kind, ms, signs, lo, hi):
+        brackets.append((ms, signs, lo, hi))
+        return refine(kind, ms, signs, lo, hi)
+
+    monkeypatch.setattr(analysis, "_golden_refine", spy)
+
+    def run():
+        brackets.clear()
+        ys = [extremum_vs_m_curve(kind, REF_M).y_values for kind in KINDS]
+        ys += [[extreme_diag_gradient(kind, m, mode) for m in REF_M]
+               for kind in KINDS for mode in ("max", "min", "abs")]
+        return ys, list(brackets)
+
+    want = run()
+    monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block)
+    got = run()
+    for a, b in zip(got[0], want[0], strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
+    for a, b in zip(got[1], want[1], strict=True):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_extremum_curve_is_bitwise_its_per_m_searches(kind):
+    # Negative, tiny, zero (both signs), guard-limited (|M| < 1 where a
+    # sign-indefinite f lets M + f(x) cross zero; a square that
+    # overflows) and non-finite off-sums, in one call.
+    ms = [*np.linspace(-3.0, 10.0, 21), 0.0, -0.0, 1e-9, -1e-9, 0.25,
+          math.nan, math.inf, -math.inf, 1e160, -1e160]
+    curve = extremum_vs_m_curve(kind, ms)
+    want = np.abs([extreme_diag_gradient(kind, m) for m in ms])
+    assert np.array_equal(curve.y_values, want, equal_nan=True)
+    assert curve.params["skipped_m"] == int(np.isnan(want).sum()) >= 5
 
 
 def test_extremum_of_nan_off_sum_is_skipped():

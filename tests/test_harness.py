@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from periscore import harness
-from periscore.autodiff import Tensor, parameter
+from periscore.autodiff import Tensor, no_grad, parameter
 from periscore.harness import (
     TAP_BINS,
     Adam,
@@ -188,7 +188,7 @@ def test_eval_accuracy_restores_tracking():
     cfg = _config()
     model = DemoModel(cfg.demo, seed=1)
     data = build_dataset(cfg.dataset, seed=1)
-    acc = _eval_accuracy(model, data, data.eval_idx)
+    acc = _eval_accuracy(model, data, data.eval_idx, cfg.batch_size)
     assert 0.0 <= acc <= 1.0
     assert _tracking_on()
 
@@ -196,8 +196,21 @@ def test_eval_accuracy_restores_tracking():
                   labels=np.zeros(4, dtype=np.int64),
                   train_idx=np.arange(2), eval_idx=np.arange(2, 4))
     with pytest.raises(BreakdownSignal):
-        _eval_accuracy(model, bad, bad.eval_idx)
+        _eval_accuracy(model, bad, bad.eval_idx, cfg.batch_size)
     assert _tracking_on()
+
+
+def test_eval_accuracy_is_the_same_for_every_batch_split():
+    cfg = _config()
+    model = DemoModel(cfg.demo, seed=1)
+    data = build_dataset(cfg.dataset, seed=1)
+    idx = data.eval_idx
+    with no_grad():
+        logits = model.forward(data.images[idx]).data
+    want = float(np.mean(logits.argmax(axis=1) == data.labels[idx]))
+    assert 0.0 < want < 1.0
+    for batch in range(1, idx.size + 2):
+        assert _eval_accuracy(model, data, idx, batch) == want, batch
 
 
 # -- training loop -----------------------------------------------------

@@ -246,6 +246,20 @@ def test_siren_pole_raises_and_is_flagged():
     assert not pole_mask(SIREN_MAX, np.array([edge]))[0]
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (3, 64), (16, 4, 16, 16),
+                                   (2, 3, 129), (1000, 2)])
+def test_whiten_rows_is_bitwise_numpy_mean_and_var(shape):
+    rng = _rng(sum(shape))
+    x = 3.0 * rng.normal(size=shape) + rng.normal(size=shape[:-1] + (1,))
+    # The same values laid out with the row axis strided.
+    strided = np.ascontiguousarray(x.swapaxes(0, -1)).swapaxes(0, -1)
+    for x in (x, strided):
+        z, sigma = whiten_rows(x)
+        want_sigma = np.sqrt(x.var(-1, keepdims=True))
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(z, (x - x.mean(-1, keepdims=True)) / want_sigma)
+
+
 def test_degenerate_row_is_a_score_error_at_the_first_flat_row():
     x = _rng(23).normal(size=(2, 3, 4))
     x[1, 1] = 0.25    # flat row 4
