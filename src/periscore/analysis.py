@@ -8,6 +8,7 @@ and curve emission for the figure-style plots.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .scorefn import (
     ScoreRows,
     check_denominators,
     denom_ok,
+    denoms_all_ok,
     f_and_fp,
     pole_mask,
     seeded_rng,
@@ -90,16 +92,26 @@ def diag_gradient_fixed_m(kind, m, x):
     instead of raising.
     """
     x = np.asarray(x, dtype=np.float64)
-    ok = ~pole_mask(kind, x)
-    f, fp = f_and_fp(kind, np.where(ok, x, 0.0))
-    return np.where(*_fixed_m_quotient(m, ok, f, fp()), np.nan)
+    f, fp = f_and_fp(kind, x)
+    denom, ys = _fixed_m_quotient(m, f, fp())
+    return np.where(~pole_mask(kind, x) & denom_ok(denom), ys, np.nan)
 
 
-def _fixed_m_quotient(m, ok, f, fp):
-    """(live, M*fp/(M+f)^2), live where ok and denom_ok(M+f)."""
+def _fixed_m_quotient(m, f, fp):
+    """(M + f, M*fp/(M+f)^2), unguarded."""
     denom = m + f
     with np.errstate(all="ignore"):
-        return ok & denom_ok(denom), m * fp / np.square(denom)
+        return denom, m * fp / np.square(denom)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(lo, hi, step):
+    """The extremum grid over [lo, hi], its sin and its cos, read-only."""
+    xs = np.arange(lo, hi + step, step)
+    trig = xs, np.sin(xs), np.cos(xs)
+    for a in trig:
+        a.flags.writeable = False
+    return trig
 
 
 def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
@@ -136,12 +148,13 @@ def _extrema(kind, m_values, mode):
 
     One pass over the extremum grid, in blocks of at most BLOCK_ELEMENTS
     (M, x) points, keeps each (M, sign)'s first largest sign * gradient,
-    guard points counting as -inf, as nanargmax would; one lockstep
+    guard points counting as -inf, as nanargmax would; the guard mask is
+    built only for a block that has a guard point.  One lockstep
     golden-section search then refines them all.
     """
-    xs = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP)
-    ok = ~pole_mask(kind, xs)
-    f, fp = f_and_fp(kind, np.where(ok, xs, 0.0))
+    xs, sin, cos = _grid(*GRID_RANGE, GRID_STEP)
+    ok = ~pole_mask(kind, xs, sin)
+    f, fp = f_and_fp(kind, xs, sin, cos)
     fp = fp()
     ms = np.asarray(m_values, dtype=np.float64)
     signs = np.array([1.0, -1.0] if mode == "abs"
@@ -152,10 +165,12 @@ def _extrema(kind, m_values, mode):
     step = max(1, BLOCK_ELEMENTS // ms.size)
     for start in range(0, xs.size, step):
         cut = slice(start, start + step)
-        live, ys = _fixed_m_quotient(ms[:, None], ok[cut], f[cut], fp[cut])
-        dead = ~live
+        denom, ys = _fixed_m_quotient(ms[:, None], f[cut], fp[cut])
+        dead = (None if ok[cut].all() and denoms_all_ok(denom)
+                else ~(ok[cut] & denom_ok(denom)))
         for s, sign in enumerate(signs):
-            np.copyto(ys, -sign * np.inf, where=dead)
+            if dead is not None:
+                np.copyto(ys, -sign * np.inf, where=dead)
             j = ys.argmax(axis=1) if sign > 0 else ys.argmin(axis=1)
             top = sign * ys[rows, j]
             win = top > peak[:, s]
@@ -261,8 +276,10 @@ def _diag_entries_rows(kind, rows):
 
 def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
     """Fraction of diagonal gradients with |value| < epsilon on seeded draws."""
-    if dim < 2 or trials < 1 or epsilon <= 0:
-        raise ValueError("need dim >= 2, trials >= 1, epsilon > 0")
+    if not (dim >= 2 and trials >= 1 and epsilon > 0
+            and 0 <= input_scale < math.inf):
+        raise ValueError("need dim >= 2, trials >= 1, epsilon > 0 and "
+                         "0 <= input_scale < inf")
     rows = seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim))
     entries, skipped = _diag_entries_rows(kind, rows)
     frac = float(np.mean(np.abs(entries) < epsilon)) if entries.size else 0.0

@@ -35,12 +35,12 @@ _SIREN_FLOOR = 1e-30
 _MARGIN_TAGS = frozenset({"sm-softmax", "sm-taylor-softmax"})
 
 
-def _exp(kind, z):
+def _exp(kind, z, sin, cos):
     f = np.exp(z)
     return f, lambda: f
 
 
-def _taylor(kind, z):
+def _taylor(kind, z, sin, cos):
     """Partial sums of the exponential series at z to orders n and n - 1,
     which are f and f' of the order-n Taylor kinds."""
     out = term = np.ones_like(z)
@@ -51,30 +51,33 @@ def _taylor(kind, z):
     return out, lambda: fp
 
 
-def _sin_softmax(kind, x):
-    f = np.exp(np.sin(x))
-    return f, lambda: f * np.cos(x)
+def _sin_softmax(kind, x, sin, cos):
+    f = np.exp(sin())
+    return f, lambda: f * cos()
 
 
-def _siren(kind, x):
-    s = np.sin(x)
+def _siren(kind, x, sin, cos):
+    s = sin()
     return ((1.0 + s) / np.maximum(2.0 - 2.0 * s, 2.0 * _SIREN_FLOOR),
-            lambda: np.cos(x) / np.maximum(1.0 - s, _SIREN_FLOOR) ** 2)
+            lambda: cos() / np.maximum(1.0 - s, _SIREN_FLOOR) ** 2)
 
 
-# tag -> (kind, z) |-> (f(z), thunk for f'(z)), elementwise and unguarded.
-# The thunk reuses what f and f' share, so a backward pass that needs f'
+# tag -> (kind, z, sin, cos) |-> (f(z), thunk for f'(z)), elementwise and
+# unguarded.  An entry gets sin(z) and cos(z) only by calling the thunks
+# sin and cos; the soft-margin kinds (z = x - margin) call neither.  The
+# f' thunk reuses what f and f' share, so a backward pass that needs f'
 # does not recompute it.
 _F_FP = {
     "softmax": _exp,
     "taylor-softmax": _taylor,
     "sm-softmax": _exp,
     "sm-taylor-softmax": _taylor,
-    "sin-max-constant": lambda k, x: (1.0 + np.sin(x), lambda: np.cos(x)),
-    "sin-max": lambda k, x: (np.sin(x), lambda: np.cos(x)),
-    "cos-max": lambda k, x: (np.cos(x), lambda: -np.sin(x)),
-    "sin2-max": lambda k, x: (np.sin(x) ** 2, lambda: np.sin(2.0 * x)),
-    "sin2-max-shifted": lambda k, x: (
+    "sin-max-constant": lambda k, x, sin, cos: (1.0 + sin(), cos),
+    "sin-max": lambda k, x, sin, cos: (sin(), cos),
+    "cos-max": lambda k, x, sin, cos: (cos(), lambda: -sin()),
+    "sin2-max": lambda k, x, sin, cos: (sin() ** 2,
+                                        lambda: np.sin(2.0 * x)),
+    "sin2-max-shifted": lambda k, x, sin, cos: (
         np.sin(x + k.phase) ** 2, lambda: np.sin(2.0 * (x + k.phase))),
     "sin-softmax": _sin_softmax,
     "siren-max": _siren,
@@ -150,23 +153,29 @@ def seeded_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def f_and_fp(kind, x):
+def f_and_fp(kind, x, sin=None, cos=None):
     """f(x) and a thunk for f'(x), elementwise, with no guard checks.
 
     For the soft-margin kinds this is the scored element's f(x - margin).
+    sin and cos, if given, must be np.sin(x) and np.cos(x), which the
+    kernels then use in place of their own (the soft-margin kinds don't).
     """
     z = x - kind.margin if kind.tag in _MARGIN_TAGS else x
-    return _F_FP[kind.tag](kind, z)
+    s = (lambda: np.sin(x)) if sin is None else (lambda: sin)
+    c = (lambda: np.cos(x)) if cos is None else (lambda: cos)
+    return _F_FP[kind.tag](kind, z, s, c)
 
 
-def _pole_gap(kind, x):
-    """1 - sin(x) for siren-max, the distance to its pole; else None."""
-    return 1.0 - np.sin(x) if kind.tag == "siren-max" else None
+def _pole_gap(kind, x, sin=None):
+    """1 - sin(x) for siren-max, the distance to its pole; else None.
+    sin, if given, must be np.sin(x)."""
+    if kind.tag == "siren-max":
+        return 1.0 - (np.sin(x) if sin is None else sin)
 
 
-def pole_mask(kind, x):
+def pole_mask(kind, x, sin=None):
     """True where the intermediate itself is invalid (Siren-max pole)."""
-    gap = _pole_gap(kind, x)
+    gap = _pole_gap(kind, x, sin)
     return np.zeros(np.shape(x), dtype=bool) if gap is None else gap < EPS_POLE
 
 
@@ -195,11 +204,15 @@ def denom_ok(denom):
     return (a >= EPS_DEN) & (a < DEN_MAX)
 
 
-def check_denominators(denom):
-    """Raise at the first denominator denom_ok() rejects.  A NaN fails
-    the min() test; the mask is built only when the guard fires."""
+def denoms_all_ok(denom):
+    """denom_ok(denom).all() without the mask; a NaN fails min()."""
     a = np.abs(denom)
-    if not (a.min() >= EPS_DEN and a.max() < DEN_MAX):
+    return a.min() >= EPS_DEN and a.max() < DEN_MAX
+
+
+def check_denominators(denom):
+    """Raise at the first denominator denom_ok() rejects."""
+    if not denoms_all_ok(denom):
         _raise_first(lambda v: (DenominatorNearZero if abs(v) < EPS_DEN
                                 else NonFiniteDenominator),
                      ~denom_ok(denom), denom,
@@ -237,7 +250,7 @@ class ScoreRows:
         with np.errstate(over="ignore", invalid="ignore"):
             self.num, self._fp = f_and_fp(kind, x)
             if kind.tag in _MARGIN_TAGS:
-                self.off, self._offp = _F_FP[kind.tag](kind, x)
+                self.off, self._offp = _F_FP[kind.tag](kind, x, None, None)
             else:
                 self.off, self._offp = self.num, None
             total = self.off.sum(axis=-1, keepdims=True)

@@ -40,9 +40,11 @@ from periscore.scorefn import (
     DenominatorNearZero,
     NonFiniteDenominator,
     PoleProximity,
+    ScoreError,
     seeded_rng,
 )
 
+import score_reference
 from score_reference import (
     EXTRA_KINDS,
     kind_id,
@@ -161,6 +163,48 @@ def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
         assert np.array_equal(a, b, equal_nan=True)
     for a, b in zip(got[1], want[1], strict=True):
         assert all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
+def test_extremum_grid_memo_follows_the_grid_constants(monkeypatch):
+    extremum_vs_m_curve(COS_MAX, REF_M)  # the default grid is memoized
+    for module in (analysis, score_reference):
+        monkeypatch.setattr(module, "GRID_STEP", 0.05)
+    for kind in (SOFTMAX, COS_MAX, SIN_SOFTMAX, SIREN_MAX):
+        got = [extreme_diag_gradient(kind, m) for m in REF_M]
+        want = [ref_extreme_diag_gradient(kind, m) for m in REF_M]
+        assert np.array_equal(got, want, equal_nan=True), kind.tag
+
+
+def test_extremum_grid_memo_is_read_only():
+    extreme_diag_gradient(SIREN_MAX, 2.0)
+    for a in analysis._grid(*GRID_RANGE, GRID_STEP):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 1.0
+
+
+def test_extremum_sweep_takes_the_grid_trig_once(monkeypatch):
+    n = np.arange(GRID_RANGE[0], GRID_RANGE[1] + GRID_STEP, GRID_STEP).size
+    calls = []
+    for name in ("sin", "cos"):
+        def spy(x, *args, _name=name, _fn=getattr(np, name), **kwargs):
+            if np.size(x) == n:
+                calls.append(_name)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+
+    def sweep():
+        calls.clear()
+        for kind in ALL_KINDS:
+            extremum_vs_m_curve(kind, [0.5, 1.0, 2.0, 5.0, 10.0])
+        return len(calls)
+
+    analysis._grid.cache_clear()
+    assert sweep() <= 5
+    # Warm: sin2-max's f' and sin2-max-shifted's f and f' take the sin of
+    # other angles.
+    assert sweep() == 3
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
@@ -286,6 +330,19 @@ def test_saturation_fraction_is_deterministic_and_contrasting():
     assert a.sample_count == 200 * 16
     periodic = saturation_fraction(SIN_SOFTMAX, **kwargs)
     assert a.fraction_saturated > periodic.fraction_saturated
+
+
+@pytest.mark.parametrize("bad", [
+    {"epsilon": math.nan},
+    {"input_scale": math.nan},
+    {"input_scale": math.inf},
+    {"input_scale": -1.0},
+], ids=["nan-epsilon", "nan-scale", "inf-scale", "negative-scale"])
+def test_saturation_fraction_rejects_bad_arguments(bad):
+    kwargs = dict(dim=16, trials=5, input_scale=8.0, epsilon=1e-4, seed=7)
+    with pytest.raises(ValueError, match="need dim >= 2") as err:
+        saturation_fraction(SOFTMAX, **(kwargs | bad))
+    assert not isinstance(err.value, ScoreError)
 
 
 def test_saturation_near_zero_inputs_frozen_value():

@@ -120,6 +120,19 @@ def test_intermediate_derivative_known_points():
     assert _fp(SIN2_MAX, 0.3) == pytest.approx(math.sin(0.6))
 
 
+# The eleven kinds; margin is read by the soft-margin kinds only, whose
+# z = x - margin must not meet the sin and cos of x.
+@pytest.mark.parametrize("kind", [ScoreFunctionKind(k.tag, margin=1.5)
+                                  for k in ALL_KINDS], ids=lambda k: k.tag)
+def test_passed_sin_and_cos_change_nothing(kind):
+    # Normal draws, and the siren-max pole at pi/2.
+    x = np.append(_rng(22).normal(0.0, 3.0, size=500), math.pi / 2)
+    f, fp = f_and_fp(kind, x)
+    g, gp = f_and_fp(kind, x, np.sin(x), np.cos(x))
+    assert np.array_equal(f, g)
+    assert np.array_equal(fp(), gp())
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
                          ids=kind_id)
 def test_kind_table_is_bitwise_the_reference(kind):

@@ -2,9 +2,9 @@
 training bitwise unchanged.
 
 For each config below it trains 150 steps at seed 1 (Adam at its
-defaults) with gradient taps every 50 steps and prints two lines. The first gives the outcome and a
-SHA-256 over every step's loss, accuracy and gradient norm, the final
-eval accuracy and the breakdown. The second gives a SHA-256 over every
+defaults) with gradient taps every 50 steps and prints two lines. The
+first gives the outcome and a SHA-256 over every step's loss, accuracy
+and gradient norm, the final eval accuracy and the breakdown. The second gives a SHA-256 over every
 tap histogram: its step and layer, and each bin's centre, mean |grad|
 and count. Floats are written exactly (hex). The training bits and the
 tap histograms are digested apart, so a change to the histograms cannot
@@ -20,6 +20,7 @@ breakdowns.
 
 Run it against two source trees and diff the outputs:
 
+    export OMP_NUM_THREADS=1
     PYTHONPATH=<old>/src python tools/trainlog_digest.py > old.txt
     PYTHONPATH=<new>/src python tools/trainlog_digest.py > new.txt
     diff old.txt new.txt
@@ -34,7 +35,11 @@ from pathlib import Path
 
 from periscore import (
     COS_MAX,
+    SIN_MAX,
     SIN_SOFTMAX,
+    SIREN_MAX,
+    SOFTMAX,
+    TAYLOR_SOFTMAX,
     Cifar100Spec,
     SyntheticSpec,
     TrainConfig,
@@ -48,15 +53,17 @@ from perfbench.workloads import CIFAR_RECORDS, cifar_records  # noqa: E402
 
 SWEEP_SEEDS = 32
 
-# (label, tag, depth, prenorm)
+# (label, kind, depth, prenorm).  The soft-margin config has a non-zero
+# margin: at margin 0 it would run the softmax config's arithmetic.
 CONFIGS = (
-    ("siren-max d4 + prenorm", "siren-max", 4, True),
-    ("sin-softmax d1", "sin-softmax", 1, False),
-    ("softmax d2", "softmax", 2, False),
-    ("cos-max d4", "cos-max", 4, False),
-    ("sm-softmax d2", "sm-softmax", 2, False),
-    ("sin-max d2", "sin-max", 2, False),
-    ("taylor-softmax d1 + prenorm", "taylor-softmax", 1, True),
+    ("siren-max d4 + prenorm", SIREN_MAX, 4, True),
+    ("sin-softmax d1", SIN_SOFTMAX, 1, False),
+    ("softmax d2", SOFTMAX, 2, False),
+    ("cos-max d4", COS_MAX, 4, False),
+    ("sm-softmax margin 1 d2", ScoreFunctionKind("sm-softmax", margin=1.0),
+     2, False),
+    ("sin-max d2", SIN_MAX, 2, False),
+    ("taylor-softmax d1 + prenorm", TAYLOR_SOFTMAX, 1, True),
 )
 
 
@@ -108,10 +115,9 @@ def _print_run(label, log):
 
 
 def main():
-    for label, tag, depth, prenorm in CONFIGS:
-        _print_run(label, train(_config(ScoreFunctionKind(tag), depth,
-                                        prenorm, steps=150, seed=1,
-                                        tap_every=50)))
+    for label, kind, depth, prenorm in CONFIGS:
+        _print_run(label, train(_config(kind, depth, prenorm, steps=150,
+                                        seed=1, tap_every=50)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cifar.bin"
         path.write_bytes(cifar_records(1))
