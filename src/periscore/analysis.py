@@ -88,20 +88,21 @@ def diag_gradient_fixed_m(kind, m, x):
     """Diagonal gradient M*f'(x)/(M+f(x))^2 with the off-sum held at M.
 
     Vectorized, with m broadcasting against x; guard points (poles,
-    near-zero denominators) come back as NaN so curves can carry gaps
-    instead of raising.
+    near-zero or non-finite denominators, non-finite x) come back as NaN,
+    without a numpy warning, so curves can carry gaps instead of raising.
     """
     x = np.asarray(x, dtype=np.float64)
-    f, fp = f_and_fp(kind, x)
-    denom, ys = _fixed_m_quotient(m, f, fp())
-    return np.where(~pole_mask(kind, x) & denom_ok(denom), ys, np.nan)
+    with np.errstate(all="ignore"):
+        f, fp = f_and_fp(kind, x)
+        denom, ys = _fixed_m_quotient(m, f, fp())
+        ok = np.isfinite(x) & ~pole_mask(kind, x) & denom_ok(denom)
+        return np.where(ok, ys, np.nan)
 
 
 def _fixed_m_quotient(m, f, fp):
-    """(M + f, M*fp/(M+f)^2), unguarded."""
+    """(M + f, M*fp/(M+f)^2), unguarded; call it under np.errstate."""
     denom = m + f
-    with np.errstate(all="ignore"):
-        return denom, m * fp / np.square(denom)
+    return denom, m * fp / np.square(denom)
 
 
 @functools.lru_cache(maxsize=1)
@@ -165,7 +166,8 @@ def _extrema(kind, m_values, mode):
     step = max(1, BLOCK_ELEMENTS // ms.size)
     for start in range(0, xs.size, step):
         cut = slice(start, start + step)
-        denom, ys = _fixed_m_quotient(ms[:, None], f[cut], fp[cut])
+        with np.errstate(all="ignore"):
+            denom, ys = _fixed_m_quotient(ms[:, None], f[cut], fp[cut])
         dead = (None if ok[cut].all() and denoms_all_ok(denom)
                 else ~(ok[cut] & denom_ok(denom)))
         for s, sign in enumerate(signs):
@@ -261,27 +263,53 @@ def sinmax_constant_expected_gradient(d, x_j):
     return (-math.sin(x_j) + d - 1.0) * math.cos(x_j) / (d * d)
 
 
-def _diag_entries_rows(kind, rows):
+def _diag_entries_rows(kind, rows, sin=None, cos=None):
     """Diagonal Jacobian entries of (n, d) rows, flat in row order;
     returns (entries, skipped_rows).
 
     Rows hitting a guard (a pole, a near-zero or non-finite denominator)
-    are dropped whole.
+    are dropped whole.  sin and cos, if given, must be np.sin(rows) and
+    np.cos(rows); the pole test and the kernel then use them in place of
+    their own.  Nothing is copied for a guard that no row hits.
     """
-    terms = ScoreRows(kind, rows[~pole_mask(kind, rows).any(axis=-1)],
-                      through_pole=True)
+    pole = pole_mask(kind, rows, sin).any(axis=-1)
+    if pole.any():
+        keep = ~pole
+        rows, sin, cos = (None if a is None else a[keep]
+                          for a in (rows, sin, cos))
+    terms = ScoreRows(kind, rows, through_pole=True, sin=sin, cos=cos)
+    diag = terms.diag()
+    if len(rows) and denoms_all_ok(terms.denom):
+        return diag.ravel(), len(pole) - len(rows)
     live = denom_ok(terms.denom).all(axis=-1)
-    return terms.diag()[live].ravel(), len(rows) - int(live.sum())
+    return diag[live].ravel(), len(pole) - int(live.sum())
+
+
+@functools.lru_cache(maxsize=1)
+def _draws(seed, trials, dim, input_scale):
+    """saturation_fraction's seeded (trials, dim) normal rows, their sin
+    and their cos, read-only.  A sweep over the kinds with one argument
+    set draws and takes the trig once."""
+    rows = seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim))
+    trig = rows, np.sin(rows), np.cos(rows)
+    for a in trig:
+        a.flags.writeable = False
+    return trig
 
 
 def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
-    """Fraction of diagonal gradients with |value| < epsilon on seeded draws."""
+    """Fraction of diagonal gradients with |value| < epsilon on seeded draws.
+
+    The draws of the last (seed, trials, dim, input_scale), with their
+    sin and cos, are kept for the life of the process (see _draws), so
+    the other kinds of a sweep reuse them.
+    """
     if not (dim >= 2 and trials >= 1 and epsilon > 0
             and 0 <= input_scale < math.inf):
         raise ValueError("need dim >= 2, trials >= 1, epsilon > 0 and "
                          "0 <= input_scale < inf")
-    rows = seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim))
-    entries, skipped = _diag_entries_rows(kind, rows)
+    entries, skipped = _diag_entries_rows(
+        kind, *_draws(seed, trials, dim, input_scale))
     frac = float(np.mean(np.abs(entries) < epsilon)) if entries.size else 0.0
     return SaturationReport(kind=kind, epsilon=epsilon,
                             fraction_saturated=frac,

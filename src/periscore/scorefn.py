@@ -238,9 +238,12 @@ class ScoreRows:
     EPS_POLE of the pole unless through_pole, which evaluates them (see
     _SIREN_FLOOR) as the training path needs.  scores() runs
     check_denominators() on denom.
+
+    sin and cos, if given, must be np.sin(x) and np.cos(x); they are
+    handed to f_and_fp().
     """
 
-    def __init__(self, kind, x, through_pole=False):
+    def __init__(self, kind, x, through_pole=False, sin=None, cos=None):
         x = _check_finite(x)
         if not through_pole:
             _check_pole(kind, x)
@@ -248,7 +251,7 @@ class ScoreRows:
         # scores() and the callers of check_denominators() reject; numpy's
         # warnings on the way there would only repeat that.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.num, self._fp = f_and_fp(kind, x)
+            self.num, self._fp = f_and_fp(kind, x, sin, cos)
             if kind.tag in _MARGIN_TAGS:
                 self.off, self._offp = _F_FP[kind.tag](kind, x, None, None)
             else:

@@ -100,6 +100,21 @@ def test_diag_gradient_guard_points_become_nan():
     assert np.isfinite(got[0]) and np.isnan(got[1]) and np.isfinite(got[2])
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+def test_diag_gradient_is_nan_without_a_warning_at_non_finite_points(kind):
+    # x = 800 overflows exp, and with it the exp kinds' f.
+    xs = np.array([math.inf, -math.inf, math.nan, 0.0, 800.0, 0.3, -2.0])
+    for m in (0.5, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = diag_gradient_fixed_m(kind, m, xs)
+        assert np.all(np.isnan(got[:3]))
+        assert np.isnan(got[4]) == (kind.tag in ("softmax", "sm-softmax"))
+        assert np.array_equal(got[3:],
+                              ref_diag_gradient_fixed_m(kind, m, xs[3:]),
+                              equal_nan=True)
+
+
 def test_softmax_extreme_gradient_is_quarter():
     assert softmax_extreme_gradient() == 0.25
     assert extreme_diag_gradient(SOFTMAX, 1.0, mode="max") == \
@@ -359,6 +374,13 @@ def test_saturation_counts_skipped_rows():
     assert rep.skipped_rows + rep.sample_count // 64 == 50
 
 
+def test_saturation_of_rows_that_all_hit_a_pole_is_empty():
+    rows = np.full((3, 4), math.pi / 2)
+    entries, skipped = _diag_entries_rows(SIREN_MAX, rows, np.sin(rows),
+                                          np.cos(rows))
+    assert entries.size == 0 and skipped == 3
+
+
 def test_saturation_drops_rows_whose_denominator_overflows():
     # At input scale 300 the softmax row sum overflows in many rows, which
     # makes those rows' denominators inf or NaN, or so large that their
@@ -386,6 +408,76 @@ def test_saturation_drops_rows_whose_denominator_square_overflows():
     assert rep.skipped_rows == skipped == int((sums >= DEN_MAX).sum()) == 65
     assert rep.sample_count == entries.size == 8640
     assert not np.any(np.isnan(entries))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_saturation_memo_is_bitwise_a_fresh_draw(seed):
+    # Scales 140 and 300 drop softmax rows whose denominators overflow.
+    for scale in (0.01, 8.0, 140.0, 300.0):
+        rows = seeded_rng(seed).normal(0.0, scale, size=(200, 64))
+        for kind in ALL_KINDS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = saturation_fraction(kind, dim=64, trials=200,
+                                          input_scale=scale, epsilon=1e-4,
+                                          seed=seed)
+                entries, skipped = _diag_entries_rows(kind, rows)
+            frac = (float(np.mean(np.abs(entries) < 1e-4)) if entries.size
+                    else 0.0)
+            assert (rep.fraction_saturated, rep.sample_count,
+                    rep.skipped_rows) == (frac, entries.size, skipped)
+            if kind == SOFTMAX:
+                assert (skipped > 0) == (scale > 8.0)
+
+
+def test_saturation_memo_follows_its_arguments():
+    kwargs = dict(kind=SIN_SOFTMAX, dim=16, trials=50, input_scale=8.0,
+                  epsilon=1e-4)
+    first = saturation_fraction(seed=7, **kwargs)
+    other = saturation_fraction(seed=8, **kwargs)
+    assert other != first
+    assert saturation_fraction(seed=7, **kwargs) == first
+    assert saturation_fraction(seed=7, **(kwargs | {"trials": 40})) != first
+    assert saturation_fraction(seed=7, **kwargs) == first
+
+
+def test_saturation_memo_is_read_only():
+    saturation_fraction(SOFTMAX, dim=16, trials=5, input_scale=8.0,
+                        epsilon=1e-4, seed=7)
+    for a in analysis._draws(7, 5, 16, 8.0):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 1.0
+
+
+def test_saturation_sweep_draws_and_takes_the_trig_once(monkeypatch):
+    trials, dim = 1000, 64
+    calls = []
+    for name in ("sin", "cos"):
+        def spy(x, *args, _name=name, _fn=getattr(np, name), **kwargs):
+            if np.size(x) == trials * dim:
+                calls.append(_name)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+
+    def rng(seed, _fn=analysis.seeded_rng):
+        calls.append("draw")
+        return _fn(seed)
+
+    monkeypatch.setattr(analysis, "seeded_rng", rng)
+
+    def sweep():
+        calls.clear()
+        for kind in ALL_KINDS:
+            saturation_fraction(kind, dim=dim, trials=trials,
+                                input_scale=8.0, epsilon=1e-4, seed=7)
+        return sorted(calls)
+
+    analysis._draws.cache_clear()
+    # The memo's draw, sin and cos; then sin2-max's f' and
+    # sin2-max-shifted's f and f' take the sin of other angles.
+    assert sweep() == ["cos", "draw"] + ["sin"] * 4
+    assert sweep() == ["sin"] * 3
 
 
 def test_submersion_curve_decreases():

@@ -29,6 +29,7 @@ from periscore.scorefn import (
     ScoreError,
     ScoreFunctionKind,
     ScoreRows,
+    denom_ok,
     f_and_fp,
     finite_diff_jacobian,
     jacobian,
@@ -131,6 +132,28 @@ def test_passed_sin_and_cos_change_nothing(kind):
     g, gp = f_and_fp(kind, x, np.sin(x), np.cos(x))
     assert np.array_equal(f, g)
     assert np.array_equal(fp(), gp())
+
+
+@pytest.mark.parametrize("kind", [ScoreFunctionKind(k.tag, margin=1.5)
+                                  for k in ALL_KINDS], ids=lambda k: k.tag)
+def test_score_rows_with_passed_sin_and_cos_change_nothing(kind):
+    x = _rng(23).normal(0.0, 3.0, size=(40, 6))
+    x = x[~pole_mask(kind, x).any(axis=-1)]
+    x = x[denom_ok(ScoreRows(kind, x).denom).all(axis=-1)]
+    assert len(x) >= 30
+    g = _rng(24).normal(size=x.shape)
+    cases = [(x, False)]
+    if kind.tag == "siren-max":
+        # Rows through the pole at pi/2, as training scores them.
+        at_pole = x.copy()
+        at_pole[:, 2] = math.pi / 2
+        cases.append((at_pole, True))
+    for rows, through_pole in cases:
+        a = ScoreRows(kind, rows, through_pole)
+        b = ScoreRows(kind, rows, through_pole, np.sin(rows), np.cos(rows))
+        assert np.array_equal(a.scores(), b.scores())
+        assert np.array_equal(a.diag(), b.diag())
+        assert np.array_equal(a.vjp(g), b.vjp(g))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
