@@ -364,19 +364,30 @@ def submersion_curve(d_values, trials=1000, seed=7):
     """Mean max_j |S_j - 1/d| under Sin-max-constant for growing d.
 
     Quantifies how the constant term drowns inter-element differences.
-    Rows are scored in blocks of at most BLOCK_ELEMENTS elements.
+    Each d's rows are the first trials * d normals of one seeded draw of
+    trials * max(d) normals, which is bitwise a fresh draw of shape
+    (trials, d), so one draw and one np.sin of it serve every width.
+    That costs two arrays of trials * max(d) floats for the call (4 MB
+    at the report's 1000 x 256).  Rows are scored in blocks of at most
+    BLOCK_ELEMENTS elements.
     """
     if trials < 1:
         raise ValueError("submersion_curve requires trials >= 1")
-    ys = []
     for d in d_values:
         if d < 2:
             raise ValueError(f"submersion_curve requires d >= 2, got {d}")
-        rows = seeded_rng(seed).normal(0.0, 1.0, size=(trials, d))
+    flat = seeded_rng(seed).normal(0.0, 1.0,
+                                   size=trials * max(d_values, default=0))
+    flat_sin = np.sin(flat)
+    ys = []
+    for d in d_values:
+        rows = flat[:trials * d].reshape(trials, d)
+        sin_rows = flat_sin[:trials * d].reshape(trials, d)
         step = max(1, BLOCK_ELEMENTS // d)
         devs = np.empty(trials)
         for i in range(0, trials, step):
-            s = ScoreRows(SIN_MAX_CONSTANT, rows[i:i + step]).scores()
+            s = ScoreRows(SIN_MAX_CONSTANT, rows[i:i + step],
+                          sin=sin_rows[i:i + step]).scores()
             devs[i:i + step] = np.abs(s - 1.0 / d).max(axis=-1)
         ys.append(float(np.mean(devs)))
     return CurveSeries(x_values=np.asarray(d_values, dtype=np.float64),

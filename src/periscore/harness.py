@@ -273,6 +273,22 @@ def _bin_tap(histograms, step, layer_index, xs, gs):
                "count": int(n)} for c, m, n in zip(centers, mean, count)]))
 
 
+def _grad_norm(grads):
+    """Global L2 norm of grads.  When the plain sum of squares overflows
+    but every gradient is finite, the norm is taken again scaled by the
+    largest |grad|.  So the norm is non-finite only for a non-finite
+    gradient or a norm past the float maximum."""
+    grad_sq = 0.0
+    for g in grads:
+        grad_sq += float((g * g).sum())
+    norm = math.sqrt(grad_sq)
+    if math.isinf(norm) and all(np.isfinite(g).all() for g in grads):
+        top = max(float(np.abs(g).max()) for g in grads)
+        norm = top * math.sqrt(sum(float(((g / top) ** 2).sum())
+                                   for g in grads))
+    return norm
+
+
 def train(cfg):
     """Run the loop; failures become breakdown entries in the log."""
     data = build_dataset(cfg.dataset, cfg.seed)
@@ -285,43 +301,44 @@ def train(cfg):
     log = TrainRunLog(records=[])
     runaway_streak = 0
 
-    for step in range(1, cfg.steps + 1):
-        sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
-                               replace=False)
-        tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
-        model.tap = partial(_bin_tap, log.taps, step) if tapping else None
-        model.zero_grad()
-        try:
-            logits = model.forward(data.images[sel], step=step)
-            loss = cross_entropy(logits, data.labels[sel])
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                log.breakdown = Breakdown(step=step, cause="NonFiniteLoss")
+    # Overflow in a step ends as a logged breakdown, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.steps + 1):
+            sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
+                                   replace=False)
+            tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
+            model.tap = partial(_bin_tap, log.taps, step) if tapping else None
+            model.zero_grad()
+            try:
+                logits = model.forward(data.images[sel], step=step)
+                loss = cross_entropy(logits, data.labels[sel])
+                loss_val = float(loss.data)
+                if not math.isfinite(loss_val):
+                    log.breakdown = Breakdown(step=step, cause="NonFiniteLoss")
+                    return log
+                loss.backward()
+            except BreakdownSignal:
+                log.breakdown = Breakdown(step=step, cause="ScoreError")
                 return log
-            loss.backward()
-        except BreakdownSignal:
-            log.breakdown = Breakdown(step=step, cause="ScoreError")
-            return log
-        grad_sq = 0.0
-        for p in model.parameters():
-            if p.grad is not None:
-                grad_sq += float((p.grad * p.grad).sum())
-        grad_norm = math.sqrt(grad_sq)
-        if not math.isfinite(grad_norm):
-            log.breakdown = Breakdown(step=step, cause="NonFiniteGrad")
-            return log
-        acc = float((logits.data.argmax(axis=1) == data.labels[sel]).mean())
-        log.records.append(StepRecord(step=step, loss=loss_val,
-                                      train_accuracy=acc,
-                                      grad_norm=grad_norm))
-        if grad_norm > GRAD_RUNAWAY_NORM:
-            runaway_streak += 1
-            if runaway_streak >= GRAD_RUNAWAY_STEPS:
-                log.breakdown = Breakdown(step=step, cause="GradNormRunaway")
+            grads = [p.grad for p in model.parameters() if p.grad is not None]
+            grad_norm = _grad_norm(grads)
+            if not math.isfinite(grad_norm):
+                log.breakdown = Breakdown(step=step, cause="NonFiniteGrad")
                 return log
-        else:
-            runaway_streak = 0
-        opt.step()
+            hits = logits.data.argmax(axis=1) == data.labels[sel]
+            acc = float(hits.mean())
+            log.records.append(StepRecord(step=step, loss=loss_val,
+                                          train_accuracy=acc,
+                                          grad_norm=grad_norm))
+            if grad_norm > GRAD_RUNAWAY_NORM:
+                runaway_streak += 1
+                if runaway_streak >= GRAD_RUNAWAY_STEPS:
+                    log.breakdown = Breakdown(step=step,
+                                              cause="GradNormRunaway")
+                    return log
+            else:
+                runaway_streak = 0
+            opt.step()
 
     try:
         log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx,

@@ -496,9 +496,62 @@ def test_submersion_curve_is_bitwise_the_reference(d, trials):
         assert np.array_equal(got, [ref_submersion(d, trials, seed)])
 
 
-def test_submersion_curve_rejects_rows_narrower_than_two():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("trials", [5, 37])
+def test_submersion_curve_of_many_widths_is_bitwise_the_reference(trials):
+    # Unsorted, repeated widths that do not divide each other, and one
+    # wider than BLOCK_ELEMENTS: each reads a prefix of the widest draw.
+    ds = [1000, 3, 37, 2, 20000, 3]
+    assert max(ds) > BLOCK_ELEMENTS
+    for seed in (0, 7):
+        got = submersion_curve(ds, trials=trials, seed=seed)
+        assert np.array_equal(got.x_values, ds)
+        want = [ref_submersion(d, trials, seed) for d in ds]
+        assert np.array_equal(got.y_values, want)
+
+
+def _spy_submersion(monkeypatch):
+    """Lists the element counts of every normal draw and every np.sin
+    call that submersion_curve makes."""
+    draws, sins = [], []
+
+    class Rng:
+        def __init__(self, seed):
+            self.rng = seeded_rng(seed)
+
+        def normal(self, loc, scale, size):
+            draws.append(int(np.prod(size)))
+            return self.rng.normal(loc, scale, size=size)
+
+    def sin(x, *args, _fn=np.sin, **kwargs):
+        sins.append(np.size(x))
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "seeded_rng", Rng)
+    monkeypatch.setattr(np, "sin", sin)
+    return draws, sins
+
+
+def test_submersion_curve_draws_and_takes_the_sin_once(monkeypatch):
+    draws, sins = _spy_submersion(monkeypatch)
+    for trials, ds in ((1000, [4, 16, 64, 256]), (37, [1000, 3, 20000, 3])):
+        draws.clear()
+        sins.clear()
+        submersion_curve(ds, trials=trials, seed=7)
+        assert draws == [trials * max(ds)]
+        assert sins == [trials * max(ds)]
+
+
+def test_submersion_curve_of_no_widths_is_empty():
+    curve = submersion_curve([])
+    assert curve.x_values.size == 0
+    assert curve.y_values.size == 0
+
+
+def test_submersion_curve_rejects_rows_narrower_than_two(monkeypatch):
+    draws, sins = _spy_submersion(monkeypatch)
+    with pytest.raises(ValueError, match="d >= 2"):
         submersion_curve([4, 1], trials=3)
+    assert draws == [] and sins == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -36,7 +36,12 @@ from periscore.model import (
     DemoConfig,
     DemoModel,
 )
-from periscore.scorefn import SIN_MAX, SOFTMAX, NonFiniteDenominator
+from periscore.scorefn import (
+    SIN_MAX,
+    SIN_SOFTMAX,
+    SOFTMAX,
+    NonFiniteDenominator,
+)
 
 
 def _rng(seed):
@@ -287,11 +292,31 @@ def test_non_finite_loss_is_a_breakdown(monkeypatch):
         return built
 
     monkeypatch.setattr(harness.tinynn, "build_demo", huge_head_build)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log = train(_config(steps=5))
+    log = train(_config(steps=5))
     assert log.breakdown == Breakdown(step=1, cause="NonFiniteLoss")
     assert log.records == []
     assert log.final_eval_accuracy is None
+
+
+def test_finite_gradients_whose_squares_overflow_are_a_runaway(monkeypatch):
+    # A head of 1e306 gives finite gradients near 1e290, whose squares
+    # overflow: the norm is finite, about 1e291, and the run breaks down
+    # by GradNormRunaway, with no numpy warning on the way.
+    real_build = harness.tinynn.build_demo
+
+    def huge_head_build(demo, seed):
+        built = real_build(demo, seed)
+        built.w_head.data[...] = 1e306
+        return built
+
+    monkeypatch.setattr(harness.tinynn, "build_demo", huge_head_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = train(_config(kind=SIN_SOFTMAX, steps=20))
+    assert log.breakdown == Breakdown(step=10, cause="GradNormRunaway")
+    norms = [r.grad_norm for r in log.records]
+    assert len(norms) == 10
+    assert all(1e290 < n < 1e292 for n in norms)
 
 
 def _blow_up_attention(model, factor=1e3):
