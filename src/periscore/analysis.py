@@ -37,6 +37,9 @@ GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 # grid's (M, x) blocks) score at most this many elements per kernel call,
 # so their temporaries stay near 128 KiB whatever the row width.
 BLOCK_ELEMENTS = 16384
+# The extremum grid pass bounds each block of this many grid points and
+# scores only the blocks whose bound can reach a known grid value.
+BOUND_WIDTH = 1024
 
 
 @dataclass
@@ -144,13 +147,42 @@ def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
     return obj(every, 0.5 * (a + b))
 
 
+def _needed_blocks(ms, signs, f, fp, ok):
+    """(M, block) mask of the BOUND_WIDTH-point grid blocks that may hold
+    a largest sign * gradient for some sign; f, fp and ok are the grid's.
+
+    The live values at the blocks' first points are grid values, so their
+    largest, met, is a lower bound on the grid maximum.  Add, multiply and
+    divide round monotonically, so the quotient of a block's extreme
+    M + f and sign * M * f' bounds every value computed in it from above;
+    a block is dropped only when that bound is below met.  Where M + f
+    may cross zero, or a bound is NaN, the block is kept.
+    """
+    starts = np.arange(0, f.size, BOUND_WIDTH)
+    with np.errstate(all="ignore"):
+        denom, ys = _fixed_m_quotient(ms[:, None], f[starts], fp[starts])
+        live = ok[starts] & denom_ok(denom)
+        met = np.where(live, signs[:, None, None] * ys, -np.inf).max(axis=-1)
+        lo = ms[:, None] + np.minimum.reduceat(f, starts)
+        hi = ms[:, None] + np.maximum.reduceat(f, starts)
+        sm = signs[:, None, None] * ms[:, None]
+        top = np.maximum(sm * np.minimum.reduceat(fp, starts),
+                         sm * np.maximum.reduceat(fp, starts))
+        pos = lo > 0
+        near, far = np.where(pos, lo, hi), np.where(pos, hi, lo)
+        bound = np.where(top > 0, top / np.square(near), top / np.square(far))
+    return ~(pos | (hi < 0)) | ~(bound < met[..., None]).all(axis=0)
+
+
 def _extrema(kind, m_values, mode):
     """extreme_diag_gradient for each M, as an array.
 
-    One pass over the extremum grid, in blocks of at most BLOCK_ELEMENTS
-    (M, x) points, keeps each (M, sign)'s first largest sign * gradient,
-    guard points counting as -inf, as nanargmax would; the guard mask is
-    built only for a block that has a guard point.  One lockstep
+    For each M, one pass over the grid blocks that _needed_blocks keeps,
+    in x order and in chunks of at most BLOCK_ELEMENTS points, keeps each
+    sign's first largest sign * gradient, guard points counting as -inf,
+    as nanargmax would; the guard mask is built only for a chunk that has
+    a guard point.  A dropped block holds only values below one the scan
+    sees, so this is bitwise the scan of the whole grid.  One lockstep
     golden-section search then refines them all.
     """
     xs, sin, cos = _grid(*GRID_RANGE, GRID_STEP)
@@ -162,21 +194,21 @@ def _extrema(kind, m_values, mode):
                      else [1.0 if mode == "max" else -1.0])
     peak = np.full((ms.size, signs.size), -np.inf)
     at = np.zeros(peak.shape, dtype=np.intp)
-    rows = np.arange(ms.size)
-    step = max(1, BLOCK_ELEMENTS // ms.size)
-    for start in range(0, xs.size, step):
-        cut = slice(start, start + step)
-        with np.errstate(all="ignore"):
-            denom, ys = _fixed_m_quotient(ms[:, None], f[cut], fp[cut])
-        dead = (None if ok[cut].all() and denoms_all_ok(denom)
-                else ~(ok[cut] & denom_ok(denom)))
-        for s, sign in enumerate(signs):
-            if dead is not None:
-                np.copyto(ys, -sign * np.inf, where=dead)
-            j = ys.argmax(axis=1) if sign > 0 else ys.argmin(axis=1)
-            top = sign * ys[rows, j]
-            win = top > peak[:, s]
-            peak[win, s], at[win, s] = top[win], start + j[win]
+    for r, need in enumerate(_needed_blocks(ms, signs, f, fp, ok)):
+        runs = np.flatnonzero(np.diff(need, prepend=False, append=False))
+        for lo, hi in runs.reshape(-1, 2) * BOUND_WIDTH:
+            for start in range(lo, min(hi, xs.size), BLOCK_ELEMENTS):
+                cut = slice(start, min(start + BLOCK_ELEMENTS, hi))
+                with np.errstate(all="ignore"):
+                    denom, ys = _fixed_m_quotient(ms[r], f[cut], fp[cut])
+                dead = (None if ok[cut].all() and denoms_all_ok(denom)
+                        else ~(ok[cut] & denom_ok(denom)))
+                for s, sign in enumerate(signs):
+                    if dead is not None:
+                        np.copyto(ys, -sign * np.inf, where=dead)
+                    j = ys.argmax() if sign > 0 else ys.argmin()
+                    if sign * ys[j] > peak[r, s]:
+                        peak[r, s], at[r, s] = sign * ys[j], start + j
     k, s = np.nonzero(peak > -np.inf)
     i = at[k, s]
     best = _golden_refine(kind, ms[k], signs[s],
@@ -195,9 +227,10 @@ def _extrema(kind, m_values, mode):
 def extreme_diag_gradient(kind, m, mode="abs"):
     """Numeric extremum of the fixed-M diagonal gradient over GRID_RANGE.
 
-    Coarse grid then golden-section refinement.  mode is 'max', 'min'
-    or 'abs' (largest magnitude, sign preserved).  Returns NaN when the
-    guards fire everywhere.
+    Coarse grid, scored only in the blocks whose bound can reach a grid
+    value (bitwise the full scan), then golden-section refinement.  mode
+    is 'max', 'min' or 'abs' (largest magnitude, sign preserved).
+    Returns NaN when the guards fire everywhere.
     """
     return float(_extrema(kind, [m], mode)[0])
 

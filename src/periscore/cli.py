@@ -81,8 +81,9 @@ def _rel_errors(kind, xs):
 
 
 def cmd_gradcheck(args):
-    if args.dim < 2 or args.trials < 1:
-        print("error: need --dim >= 2 and --trials >= 1", file=sys.stderr)
+    if args.dim < 2 or args.trials < 1 or not args.tol >= 0:
+        print("error: need --dim >= 2, --trials >= 1 and --tol >= 0",
+              file=sys.stderr)
         return 1
     names = KIND_NAMES if args.fn == "all" else [args.fn]
     rng = scorefn.seeded_rng(args.seed)

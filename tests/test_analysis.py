@@ -3,9 +3,12 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from periscore import analysis
 from periscore.analysis import (
@@ -41,6 +44,9 @@ from periscore.scorefn import (
     NonFiniteDenominator,
     PoleProximity,
     ScoreError,
+    denom_ok,
+    f_and_fp,
+    pole_mask,
     seeded_rng,
 )
 
@@ -148,9 +154,12 @@ def test_extremum_search_is_bitwise_the_reference(kind):
             assert curve.params["skipped_m"] == int(np.isnan(want).sum())
 
 
-@pytest.mark.parametrize("block", [1, 37])
+@pytest.mark.parametrize("name, block", [
+    ("BLOCK_ELEMENTS", 1), ("BLOCK_ELEMENTS", 37), ("BOUND_WIDTH", 1),
+    ("BOUND_WIDTH", 37), ("BOUND_WIDTH", 1 << 20)],
+    ids=["1", "37", "bound-1", "bound-37", "bound-wider-than-the-grid"])
 def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
-                                                           block):
+                                                           name, block):
     # A coarse grid keeps the one-column blocks affordable.  The brackets
     # handed to the refinement pin down which grid point each search
     # kept, also where tied grid values give the same final value.
@@ -172,7 +181,7 @@ def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
         return ys, list(brackets)
 
     want = run()
-    monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(analysis, name, block)
     got = run()
     for a, b in zip(got[0], want[0], strict=True):
         assert np.array_equal(a, b, equal_nan=True)
@@ -265,6 +274,78 @@ def test_extremum_at_a_grid_edge_is_the_reference(mode):
     edge = GRID_RANGE[1] if mode == "max" else GRID_RANGE[0]
     want = diag_gradient_fixed_m(SOFTMAX, 1e6, np.array([edge]))[0]
     assert got == pytest.approx(want, rel=1e-3)
+
+
+def _assert_dropped_blocks_are_below_met(ms, signs, f, fp, ok, width):
+    """Brute force: every live sign * gradient in a block _needed_blocks
+    drops is below the largest live one at the blocks' first points."""
+    need = analysis._needed_blocks(ms, signs, f, fp, ok)
+    starts = np.arange(0, f.size, width)
+    for m, need_m in zip(ms, need, strict=True):
+        for sign in signs:
+            with np.errstate(all="ignore"):
+                denom, ys = analysis._fixed_m_quotient(m, f, fp)
+                vals = np.where(ok & denom_ok(denom), sign * ys, -np.inf)
+            met = vals[starts].max()
+            # A NaN block maximum is not below met, so it fails too.
+            assert np.all((np.maximum.reduceat(vals, starts) < met)[~need_m])
+    return need
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+def test_extremum_grid_blocks_dropped_are_below_a_grid_value(kind):
+    # The off-sums of test_extremum_curve_is_bitwise_its_per_m_searches,
+    # one whose peak is off the grid, and two tiny ones.
+    ms = np.array([*np.linspace(-3.0, 10.0, 21), 0.0, -0.0, 1e-9, -1e-9,
+                   0.25, math.nan, math.inf, -math.inf, 1e160, -1e160,
+                   1e6, 1e-300, 3e-8])
+    xs, sin, cos = analysis._grid(*GRID_RANGE, GRID_STEP)
+    f, fp = f_and_fp(kind, xs, sin, cos)
+    need = _assert_dropped_blocks_are_below_met(
+        ms, np.array([1.0, -1.0]), f, fp(), ~pole_mask(kind, xs, sin),
+        analysis.BOUND_WIDTH)
+    assert not need.all()
+
+
+# Sign-crossing M + f, signed zeros, tiny, huge and non-finite values.
+_BOUND_VALUES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e160, -1e160, 1e300,
+                     -1e300, math.inf, -math.inf, math.nan]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_needed_blocks_keep_every_block_that_can_reach_met(data):
+    n = data.draw(st.integers(1, 24))
+    f, fp = (data.draw(hnp.arrays(np.float64, n, elements=_BOUND_VALUES))
+             for _ in range(2))
+    ok = data.draw(hnp.arrays(np.bool_, n))
+    ms = data.draw(hnp.arrays(np.float64, st.integers(1, 3),
+                              elements=_BOUND_VALUES))
+    signs = np.array(data.draw(st.sampled_from([[1.0, -1.0], [1.0], [-1.0]])))
+    width = data.draw(st.integers(1, 8))
+    with mock.patch.object(analysis, "BOUND_WIDTH", width):
+        need = _assert_dropped_blocks_are_below_met(ms, signs, f, fp, ok,
+                                                    width)
+    assert need.shape == (ms.size, -(-n // width))
+
+
+def test_extremum_sweep_scores_at_most_a_quarter_of_its_grid(monkeypatch):
+    quotient = analysis._fixed_m_quotient
+    scored = []
+
+    def spy(m, f, fp):
+        denom, ys = quotient(m, f, fp)
+        scored.append(ys.size)
+        return denom, ys
+
+    monkeypatch.setattr(analysis, "_fixed_m_quotient", spy)
+    ms = [0.5, 1.0, 2.0, 5.0, 10.0]  # the benchmark's sweep
+    for kind in ALL_KINDS:
+        extremum_vs_m_curve(kind, ms)
+    n = analysis._grid(*GRID_RANGE, GRID_STEP)[0].size
+    assert sum(scored) <= 0.25 * len(ALL_KINDS) * len(ms) * n
 
 
 # -- closed-form extremum results --------------------------------------

@@ -130,6 +130,24 @@ def test_gradcheck_without_trials_exits_1(capsys):
     assert "PASS" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-0.5"])
+def test_gradcheck_nan_or_negative_tolerance_exits_1(capsys, tol):
+    # No error is <= a NaN or negative tolerance, so every kind would FAIL.
+    assert _run(["gradcheck", "--fn", "all", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: need ")
+
+
+@pytest.mark.parametrize("tol", ["0", "inf"])
+def test_gradcheck_zero_or_infinite_tolerance_runs(capsys, tol):
+    code = _run(["gradcheck", "--fn", "softmax", "--trials", "3",
+                 "--tol", tol])
+    assert code == (0 if tol == "inf" else 2)
+    assert capsys.readouterr().out.count("softmax") == 1
+
+
 def test_gradcheck_kind_whose_every_trial_hit_a_guard_fails(monkeypatch,
                                                              capsys):
     def guarded(kind, x):
