@@ -49,7 +49,6 @@ from .model import (
     DemoConfig,
     DemoModel,
     build_demo,
-    export_attention,
 )
 from .harness import (
     AdamSpec,

@@ -108,14 +108,18 @@ def _fixed_m_quotient(m, f, fp):
     return denom, m * fp / np.square(denom)
 
 
-@functools.lru_cache(maxsize=1)
-def _grid(lo, hi, step):
-    """The extremum grid over [lo, hi], its sin and its cos, read-only."""
-    xs = np.arange(lo, hi + step, step)
+def _read_only_trig(xs):
+    """(xs, sin(xs), cos(xs)), all three marked read-only, for a memo."""
     trig = xs, np.sin(xs), np.cos(xs)
     for a in trig:
         a.flags.writeable = False
     return trig
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(lo, hi, step):
+    """The extremum grid over [lo, hi], its sin and its cos, read-only."""
+    return _read_only_trig(np.arange(lo, hi + step, step))
 
 
 def _golden_refine(kind, ms, signs, lo, hi, tol=1e-10):
@@ -323,11 +327,8 @@ def _draws(seed, trials, dim, input_scale):
     """saturation_fraction's seeded (trials, dim) normal rows, their sin
     and their cos, read-only.  A sweep over the kinds with one argument
     set draws and takes the trig once."""
-    rows = seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim))
-    trig = rows, np.sin(rows), np.cos(rows)
-    for a in trig:
-        a.flags.writeable = False
-    return trig
+    return _read_only_trig(
+        seeded_rng(seed).normal(0.0, input_scale, size=(trials, dim)))
 
 
 def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):

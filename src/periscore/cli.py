@@ -182,8 +182,6 @@ def cmd_train(args):
             os.remove(args.out)
             raise
         harness.write_run_log(log, fh)
-    if log.taps:
-        harness.write_histograms(log.taps, args.out + ".taps.csv")
     if log.breakdown is not None:
         print(f"breakdown at step {log.breakdown.step}: "
               f"{log.breakdown.cause} (logged to {args.out})")
@@ -244,7 +242,8 @@ def build_parser():
                    choices=["inv_dmodel", "inv_sqrt_dmodel"])
     p.add_argument("--tap-every", type=int, default=0,
                    help="every N-th step, bin each block's score-input "
-                        "gradients into <out>.taps.csv (default 0: off)")
+                        "gradients into tap records of the log "
+                        "(default 0: off)")
     p.add_argument("--out", required=True)
     _add_kind_params(p)
     p.set_defaults(fn_impl=cmd_train)

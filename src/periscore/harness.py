@@ -1,5 +1,5 @@
 """Training harness: datasets, the loop, breakdown detection, gradient
-tap histograms.
+tap histograms, and the JSON Lines run log that holds all of them.
 
 Breakdowns (non-finite loss, non-finite gradient, a score-function
 guard firing inside a block, or sustained gradient-norm runaway) end the
@@ -352,17 +352,15 @@ def train(cfg):
 
 
 def write_run_log(log, fh):
-    """JSON Lines to the open text file fh: one object per step, then the
-    terminal object."""
-    for r in log.records:
-        fh.write(json.dumps({"step": r.step, "loss": r.loss,
-                             "acc": r.train_accuracy,
-                             "grad_norm": r.grad_norm}) + "\n")
-    if log.breakdown is not None:
-        fh.write(json.dumps({"breakdown": vars(log.breakdown)}) + "\n")
-    else:
-        fh.write(json.dumps(
-            {"final_eval_accuracy": log.final_eval_accuracy}) + "\n")
+    """JSON Lines to the open text file fh: the step objects, then the tap
+    histograms in log.taps order, then the terminal object."""
+    objs = [{"step": r.step, "loss": r.loss, "acc": r.train_accuracy,
+             "grad_norm": r.grad_norm} for r in log.records]
+    objs += [{"tap": vars(h)} for h in log.taps]
+    objs.append({"final_eval_accuracy": log.final_eval_accuracy}
+                if log.breakdown is None
+                else {"breakdown": vars(log.breakdown)})
+    fh.writelines(json.dumps(obj) + "\n" for obj in objs)
 
 
 def read_run_log(path):
@@ -373,7 +371,9 @@ def read_run_log(path):
         for n, line in enumerate(fh, 1):
             try:
                 obj = json.loads(line)
-                if "breakdown" in obj:
+                if "tap" in obj:
+                    log.taps.append(GradientHistogram(**obj["tap"]))
+                elif "breakdown" in obj:
                     log.breakdown = Breakdown(**obj["breakdown"])
                 elif "final_eval_accuracy" in obj:
                     log.final_eval_accuracy = obj["final_eval_accuracy"]
@@ -386,13 +386,3 @@ def read_run_log(path):
                 raise ValueError(f"{path} line {n}: not a run-log record "
                                  f"({type(err).__name__}: {err})") from None
     return log
-
-
-def write_histograms(histograms, path):
-    """CSV, one row per bin, ordered by step, then layer."""
-    with open(path, "w") as fh:
-        fh.write("step,layer,x_center,mean_abs_grad,count\n")
-        for h in sorted(histograms, key=lambda h: (h.step, h.layer_index)):
-            for b in h.bins:
-                fh.write(f"{h.step},{h.layer_index},{b['x_center']!r},"
-                         f"{b['mean_abs_grad']!r},{b['count']}\n")

@@ -4,7 +4,8 @@ A small LeViT-flavoured stack: linear patch embedding, `depth` blocks of
 [multi-head attention + GELU MLP, both residual], mean pooling, linear
 head.  The attention scores go through any of the eleven score-function
 kinds, optionally pre-normalized row-wise.  DemoModel.tap, when set, is
-handed each block's (score input, gradient) arrays during backprop.
+handed each block's (score input, gradient) arrays during backprop; the
+harness bins them into the run log's tap records.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, linear, no_grad, node, parameter
+from .autodiff import Tensor, linear, node, parameter
 from .scorefn import (ScoreError, ScoreFunctionKind, ScoreRows, seeded_rng,
                       whiten_rows, whiten_vjp)
 
@@ -148,7 +149,6 @@ class AttentionBlock:
         self.bk = parameter(np.zeros(d))
         self.bv = parameter(np.zeros(d))
         self.bo = parameter(np.zeros(d))
-        self.last_scores = None   # (B, heads, n, n) numpy, after forward
 
     def parameters(self):
         return [self.wq, self.bq, self.wk, self.bk,
@@ -169,7 +169,6 @@ class AttentionBlock:
             s = score_rows(raw, cfg.score_kind, tap_sink=sink)
         except ScoreError as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
-        self.last_scores = s.data  # fresh array, never written in place
         return linear(_merge_heads(s @ v), self.wo, self.bo)
 
 
@@ -241,12 +240,3 @@ class DemoModel:
 
 def build_demo(cfg, seed):
     return DemoModel(cfg, seed)
-
-
-def export_attention(model, image):
-    """Head-averaged per-layer score matrices for one input image."""
-    image = np.asarray(image, dtype=np.float64)
-    with no_grad():
-        model.forward(image[None, ...])
-    return [attn.last_scores[0].mean(axis=0) for attn, _ in model.blocks]
-

@@ -118,7 +118,7 @@ class ScoreFunctionKind:
     """Tagged choice of one of the eleven score functions.
 
     taylor_order applies to the Taylor kinds, margin to the soft-margin
-    kinds, phase to sin2-max-shifted.  Unused parameters are ignored.
+    kinds, phase to sin2-max-shifted.  Unused parameters go unchecked.
     """
 
     tag: str
@@ -129,10 +129,14 @@ class ScoreFunctionKind:
     def __post_init__(self):
         if self.tag not in _F_FP:
             raise ValueError(f"unknown score-function tag {self.tag!r}")
-        if _F_FP[self.tag] is _taylor and self.taylor_order < 1:
+        if _F_FP[self.tag] is _taylor and not (
+                isinstance(self.taylor_order, (int, np.integer))
+                and self.taylor_order >= 1):
             raise ValueError("taylor_order must be a positive integer")
-        if self.tag in _MARGIN_TAGS and self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        if self.tag in _MARGIN_TAGS and not 0 <= self.margin < math.inf:
+            raise ValueError("margin must be finite and >= 0")
+        if self.tag == "sin2-max-shifted" and not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
 
 
 ALL_KINDS = tuple(ScoreFunctionKind(tag) for tag in _F_FP)

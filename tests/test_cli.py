@@ -361,15 +361,30 @@ def test_taps_pipeline(tmp_path):
     run = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "sin-softmax", "--steps", "4",
                  "--tap-every", "2", "--out", str(run)]) == 0
-    lines = (tmp_path / "run.jsonl.taps.csv").read_text().splitlines()
-    assert lines[0] == "step,layer,x_center,mean_abs_grad,count"
+    # The histograms are tap records of the log; no other file is written.
+    assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+    assert not (tmp_path / "run.jsonl.taps.csv").exists()
+    taps = [json.loads(l)["tap"] for l in run.read_text().splitlines()
+            if l.startswith('{"tap"')]
     # Two tapped steps, one attention layer, 40 bins each.
-    rows = [l.split(",") for l in lines[1:]]
-    assert len(rows) == 2 * 40
-    assert [int(r[0]) for r in rows] == [2] * 40 + [4] * 40
-    assert float(rows[0][2]) == -9.75 and float(rows[39][2]) == 9.75
+    assert [(t["step"], t["layer_index"]) for t in taps] == [(2, 0), (4, 0)]
+    bins = [b for t in taps for b in t["bins"]]
+    assert len(bins) == 2 * 40
+    assert bins[0]["x_center"] == -9.75 and bins[39]["x_center"] == 9.75
     # Every score input of a step is counted: 16 rows, 2 heads, 16 x 16.
-    assert sum(int(r[4]) for r in rows[:40]) == 16 * 2 * 16 * 16
+    assert sum(b["count"] for b in bins[:40]) == 16 * 2 * 16 * 16
+
+
+@pytest.mark.parametrize("margin", ["-1", "nan", "inf"])
+def test_train_bad_margin_exits_2_and_leaves_no_log(tmp_path, capsys,
+                                                    margin):
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "sm-softmax", f"--margin={margin}",
+                 "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "margin" in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 # -- parser ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for datasets, the training loop, and serialization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -27,7 +28,6 @@ from periscore.harness import (
     make_synthetic,
     read_run_log,
     train,
-    write_histograms,
     write_run_log,
 )
 from periscore.model import (
@@ -460,10 +460,20 @@ def test_run_log_roundtrip_breakdown(tmp_path):
     assert back.final_eval_accuracy is None
 
 
+def test_run_log_roundtrip_of_a_tapped_run(tmp_path):
+    log = train(_config(depth=2, steps=4, tap_every=2))
+    assert len(log.taps) == 4 and log.final_eval_accuracy is not None
+    path = tmp_path / "run.jsonl"
+    with open(path, "w") as fh:
+        write_run_log(log, fh)
+    assert read_run_log(path) == log
+
+
 @pytest.mark.parametrize("line, error", [
     ('{"step": 2, "loss": 0.4, "grad_norm": 1.5}', "KeyError"),
     ("[2, 0.4, 0.5, 1.5]", "TypeError"),
-], ids=["missing-acc", "json-list"])
+    ('{"tap": {"step": 2}}', "TypeError"),
+], ids=["missing-acc", "json-list", "tap-missing-fields"])
 def test_read_run_log_rejects_malformed_line(tmp_path, line, error):
     path = tmp_path / "run.jsonl"
     path.write_text('{"step": 1, "loss": 0.5, "acc": 0.25, "grad_norm": 2.0}'
@@ -474,13 +484,30 @@ def test_read_run_log_rejects_malformed_line(tmp_path, line, error):
         f"{path} line 2: not a run-log record ({error}")
 
 
-def test_write_histograms_csv(tmp_path):
-    # Rows come out by step, then layer, whatever order the taps ran in.
+def test_run_log_tap_records(tmp_path):
+    # Tap records come after the steps and before the terminal line, in
+    # the order the taps ran, and a non-finite mean |grad| reads back.
     hists = [GradientHistogram(step=step, layer_index=layer, bins=[
-        {"x_center": -0.5, "mean_abs_grad": 1.25, "count": 3}])
-        for step, layer in [(2, 1), (2, 0), (1, 0)]]
-    path = tmp_path / "hist.csv"
-    write_histograms(hists, path)
+        {"x_center": -0.5, "mean_abs_grad": mean, "count": 3}])
+        for step, layer, mean in [(2, 1, 1.25), (2, 0, float("inf")),
+                                  (1, 0, float("nan"))]]
+    log = TrainRunLog(records=[StepRecord(1, 0.5, 0.25, 2.0)],
+                      final_eval_accuracy=0.75, taps=hists)
+    path = tmp_path / "run.jsonl"
+    with open(path, "w") as fh:
+        write_run_log(log, fh)
     lines = path.read_text().splitlines()
-    assert lines == ["step,layer,x_center,mean_abs_grad,count",
-                     "1,0,-0.5,1.25,3", "2,0,-0.5,1.25,3", "2,1,-0.5,1.25,3"]
+    assert lines[1:4] == [
+        '{"tap": {"step": 2, "layer_index": 1, "bins": [{"x_center": -0.5, '
+        '"mean_abs_grad": 1.25, "count": 3}]}}',
+        '{"tap": {"step": 2, "layer_index": 0, "bins": [{"x_center": -0.5, '
+        '"mean_abs_grad": Infinity, "count": 3}]}}',
+        '{"tap": {"step": 1, "layer_index": 0, "bins": [{"x_center": -0.5, '
+        '"mean_abs_grad": NaN, "count": 3}]}}']
+    assert lines[-1] == '{"final_eval_accuracy": 0.75}'
+    back = read_run_log(path)
+    assert back.records == log.records and back.final_eval_accuracy == 0.75
+    assert [(h.step, h.layer_index) for h in back.taps] == [
+        (2, 1), (2, 0), (1, 0)]
+    means = [h.bins[0]["mean_abs_grad"] for h in back.taps]
+    assert means[:2] == [1.25, float("inf")] and math.isnan(means[2])

@@ -65,6 +65,22 @@ def test_invalid_parameters_rejected():
         ScoreFunctionKind("taylor-softmax", taylor_order=0)
     with pytest.raises(ValueError):
         ScoreFunctionKind("sm-softmax", margin=-0.5)
+    bad = [("taylor-softmax", {"taylor_order": 2.5}),
+           ("sm-taylor-softmax", {"taylor_order": 2.0})]
+    bad += [(tag, {"margin": m}) for tag in ("sm-softmax", "sm-taylor-softmax")
+            for m in (math.nan, math.inf, -math.inf)]
+    bad += [("sin2-max-shifted", {"phase": p})
+            for p in (math.nan, math.inf, -math.inf)]
+    for tag, params in bad:
+        with pytest.raises(ValueError):
+            ScoreFunctionKind(tag, **params)
+    # Each parameter is checked only for the kinds that use it.
+    for kind in ALL_KINDS:
+        if kind.tag not in ("sm-softmax", "sm-taylor-softmax"):
+            ScoreFunctionKind(kind.tag, margin=math.nan)
+        if kind.tag != "sin2-max-shifted":
+            ScoreFunctionKind(kind.tag, phase=math.inf)
+    ScoreFunctionKind("taylor-softmax", taylor_order=np.int64(3))
 
 
 def test_taylor_order_is_checked_on_both_taylor_kinds_only():

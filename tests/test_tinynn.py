@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from periscore import model as tinynn
 from periscore.autodiff import (Tensor, cross_entropy, linear, no_grad,
                                 parameter)
 from periscore.model import (
@@ -14,7 +15,6 @@ from periscore.model import (
     BreakdownSignal,
     DemoConfig,
     build_demo,
-    export_attention,
     normalize_rows,
     score_rows,
 )
@@ -347,14 +347,22 @@ def test_patchify_is_nonoverlapping():
     np.testing.assert_array_equal(patches[0, 0], [0, 1, 8, 9])
 
 
-def test_attention_forward_scores_are_rows_of_probabilities():
+def test_attention_forward_scores_are_rows_of_probabilities(monkeypatch):
+    # A spy on model.score_rows keeps the scores that the block used.
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(score_rows(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tinynn, "score_rows", spy)
     cfg = AttentionConfig(embed_dim=8, num_heads=2, score_kind=SOFTMAX)
     block = AttentionBlock(cfg, _rng(2), layer_index=0)
     out = block.forward(Tensor(_rng(10).normal(size=(1, 5, 8))))
     assert out.shape == (1, 5, 8)
-    assert block.last_scores.shape == (1, 2, 5, 5)
-    np.testing.assert_allclose(block.last_scores.sum(axis=-1), 1.0,
-                               atol=1e-12)
+    [s] = seen
+    assert s.shape == (1, 2, 5, 5)
+    np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def _generic_attention(block, x):
@@ -418,13 +426,6 @@ def test_loss_graph_size(monkeypatch, depth, prenorm):
     loss = cross_entropy(model.forward(images), np.array([0, 1, 2]))
     assert loss._parents
     assert len(created) == (16 + prenorm) * depth + 8
-
-
-def test_export_attention_shapes():
-    model = build_demo(_demo_config(depth=2), seed=3)
-    maps = export_attention(model, _rng(11).normal(size=(8, 8, 1)))
-    assert len(maps) == 2
-    assert all(m.shape == (16, 16) for m in maps)
 
 
 def test_non_finite_input_becomes_breakdown_signal():

@@ -6,9 +6,11 @@ defaults) with gradient taps every 50 steps and prints two lines. The
 first gives the outcome and a SHA-256 over every step's loss, accuracy
 and gradient norm, the final eval accuracy and the breakdown. The second gives a SHA-256 over every
 tap histogram: its step and layer, and each bin's centre, mean |grad|
-and count. Floats are written exactly (hex). The training bits and the
-tap histograms are digested apart, so a change to the histograms cannot
-hide a change to training.
+and count. The histograms digested are the tap records that
+read_run_log reads back from the written run log, so the digest also
+shows that the records lose nothing. Floats are written exactly (hex).
+The training bits and the tap histograms are digested apart, so a
+change to the histograms cannot hide a change to training.
 The configs are the 8x8 synthetic task at several kinds and depths, and
 the benchmark's train-seq64 shape: sin-softmax depth 1 on 32x32x3
 CIFAR-format records from perfbench.workloads.cifar_records.  NumPy and
@@ -43,7 +45,9 @@ from periscore import (
     Cifar100Spec,
     SyntheticSpec,
     TrainConfig,
+    read_run_log,
     train,
+    write_run_log,
 )
 from periscore.cli import default_demo_config
 from periscore.scorefn import ScoreFunctionKind
@@ -94,6 +98,15 @@ def _taps_digest(log):
                     b["count"]) for t in log.taps for b in t.bins)
 
 
+def _read_back(log):
+    """log as read_run_log reads it from a run log that holds it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        with open(path, "w") as fh:
+            write_run_log(log, fh)
+        return read_run_log(path)
+
+
 def _outcome(log):
     if log.breakdown is not None:
         return f"breakdown@{log.breakdown.step}({log.breakdown.cause})"
@@ -110,8 +123,9 @@ def _seq64_config(path):
 def _print_run(label, log):
     print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
           f"sha256 {_records_digest(log)}")
-    print(f"{label}: {len(log.taps)} tap histograms, "
-          f"taps sha256 {_taps_digest(log)}")
+    back = _read_back(log)
+    print(f"{label}: {len(back.taps)} tap histograms, "
+          f"taps sha256 {_taps_digest(back)}")
 
 
 def main():
