@@ -3,7 +3,8 @@ tap histograms, and the JSON Lines run log that holds all of them.
 
 Breakdowns (non-finite loss, non-finite gradient, a score-function
 guard firing inside a block, or sustained gradient-norm runaway) end the
-run early and are recorded as results, not raised as failures.
+run early and are recorded as results, not raised as failures, by the
+one handler in `train` that builds a Breakdown.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class TrainConfig:
 class StepRecord:
     step: int
     loss: float
-    train_accuracy: float
+    acc: float  # train accuracy on the step's batch
     grad_norm: float
 
 
@@ -289,62 +290,61 @@ def _grad_norm(grads):
     return norm
 
 
+class _Halt(Exception):
+    """A breakdown found by train's own checks; args[0] is its cause."""
+
+
 def train(cfg):
-    """Run the loop; failures become breakdown entries in the log."""
+    """Run the loop.  Its own checks raise _Halt and a block's score guard
+    BreakdownSignal; the one handler below records either as log.breakdown
+    at the current step (cfg.steps for a guard firing in the final eval)."""
     data = build_dataset(cfg.dataset, cfg.seed)
     if data.train_idx.size < cfg.batch_size:
         raise ValueError(f"{data.train_idx.size} training images cannot "
                          f"fill a batch of {cfg.batch_size}")
-    model = tinynn.build_demo(cfg.demo, cfg.seed)
+    demo, shape, top = cfg.demo, data.images.shape[1:], data.labels.max()
+    if shape != demo.input_shape or top >= demo.num_classes:
+        raise ValueError(f"images of shape {shape} with labels up to {top} "
+                         f"do not fit a demo of input_shape {demo.input_shape}"
+                         f" and num_classes {demo.num_classes}")
+    model = tinynn.build_demo(demo, cfg.seed)
     opt = Adam(model.parameters(), cfg.optimizer)
     batch_rng = seeded_rng(cfg.seed + 1)
     log = TrainRunLog(records=[])
-    runaway_streak = 0
-
-    # Overflow in a step ends as a logged breakdown, not a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, cfg.steps + 1):
-            sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
-                                   replace=False)
-            tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
-            model.tap = partial(_bin_tap, log.taps, step) if tapping else None
-            model.zero_grad()
-            try:
+    streak = 0  # consecutive steps with grad_norm > GRAD_RUNAWAY_NORM
+    try:
+        # Overflow in a step ends as a logged breakdown, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, cfg.steps + 1):
+                sel = batch_rng.choice(data.train_idx, size=cfg.batch_size,
+                                       replace=False)
+                tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
+                model.tap = (partial(_bin_tap, log.taps, step) if tapping
+                             else None)
+                model.zero_grad()
                 logits = model.forward(data.images[sel], step=step)
                 loss = cross_entropy(logits, data.labels[sel])
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
-                    log.breakdown = Breakdown(step=step, cause="NonFiniteLoss")
-                    return log
+                    raise _Halt("NonFiniteLoss")
                 loss.backward()
-            except BreakdownSignal:
-                log.breakdown = Breakdown(step=step, cause="ScoreError")
-                return log
-            grads = [p.grad for p in model.parameters() if p.grad is not None]
-            grad_norm = _grad_norm(grads)
-            if not math.isfinite(grad_norm):
-                log.breakdown = Breakdown(step=step, cause="NonFiniteGrad")
-                return log
-            hits = logits.data.argmax(axis=1) == data.labels[sel]
-            acc = float(hits.mean())
-            log.records.append(StepRecord(step=step, loss=loss_val,
-                                          train_accuracy=acc,
-                                          grad_norm=grad_norm))
-            if grad_norm > GRAD_RUNAWAY_NORM:
-                runaway_streak += 1
-                if runaway_streak >= GRAD_RUNAWAY_STEPS:
-                    log.breakdown = Breakdown(step=step,
-                                              cause="GradNormRunaway")
-                    return log
-            else:
-                runaway_streak = 0
-            opt.step()
-
-    try:
+                grads = [p.grad for p in model.parameters()
+                         if p.grad is not None]
+                grad_norm = _grad_norm(grads)
+                if not math.isfinite(grad_norm):
+                    raise _Halt("NonFiniteGrad")
+                hits = logits.data.argmax(axis=1) == data.labels[sel]
+                log.records.append(StepRecord(step, loss_val,
+                                              float(hits.mean()), grad_norm))
+                streak = streak + 1 if grad_norm > GRAD_RUNAWAY_NORM else 0
+                if streak >= GRAD_RUNAWAY_STEPS:
+                    raise _Halt("GradNormRunaway")
+                opt.step()
         log.final_eval_accuracy = _eval_accuracy(model, data, data.eval_idx,
                                                  cfg.batch_size)
-    except BreakdownSignal:
-        log.breakdown = Breakdown(step=cfg.steps, cause="ScoreError")
+    except (_Halt, BreakdownSignal) as err:
+        cause = err.args[0] if isinstance(err, _Halt) else "ScoreError"
+        log.breakdown = Breakdown(step=step, cause=cause)
     return log
 
 
@@ -354,8 +354,7 @@ def train(cfg):
 def write_run_log(log, fh):
     """JSON Lines to the open text file fh: the step objects, then the tap
     histograms in log.taps order, then the terminal object."""
-    objs = [{"step": r.step, "loss": r.loss, "acc": r.train_accuracy,
-             "grad_norm": r.grad_norm} for r in log.records]
+    objs = [vars(r) for r in log.records]
     objs += [{"tap": vars(h)} for h in log.taps]
     objs.append({"final_eval_accuracy": log.final_eval_accuracy}
                 if log.breakdown is None
@@ -364,8 +363,8 @@ def write_run_log(log, fh):
 
 
 def read_run_log(path):
-    """Parse a run log; a malformed line raises ValueError naming the
-    file and line."""
+    """Parse a run log; a malformed line, such as a step line with a
+    missing or unknown key, raises ValueError naming the file and line."""
     log = TrainRunLog(records=[])
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
@@ -378,11 +377,8 @@ def read_run_log(path):
                 elif "final_eval_accuracy" in obj:
                     log.final_eval_accuracy = obj["final_eval_accuracy"]
                 else:
-                    log.records.append(StepRecord(
-                        step=obj["step"], loss=obj["loss"],
-                        train_accuracy=obj["acc"],
-                        grad_norm=obj["grad_norm"]))
-            except (KeyError, TypeError, ValueError) as err:
+                    log.records.append(StepRecord(**obj))
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"{path} line {n}: not a run-log record "
                                  f"({type(err).__name__}: {err})") from None
     return log

@@ -132,8 +132,11 @@ def _scaled_logits(q, k, scale):
 
 
 def _linear_init(rng, fan_in, fan_out):
-    return parameter(rng.normal(0.0, 1.0 / math.sqrt(fan_in),
-                                size=(fan_in, fan_out)))
+    """A linear layer's (weight, bias): weights drawn from rng with
+    sd 1/sqrt(fan_in), and a zero bias."""
+    return (parameter(rng.normal(0.0, 1.0 / math.sqrt(fan_in),
+                                 size=(fan_in, fan_out))),
+            parameter(np.zeros(fan_out)))
 
 
 class AttentionBlock:
@@ -141,14 +144,10 @@ class AttentionBlock:
         d = cfg.embed_dim
         self.cfg = cfg
         self.layer_index = layer_index
-        self.wq = _linear_init(rng, d, d)
-        self.wk = _linear_init(rng, d, d)
-        self.wv = _linear_init(rng, d, d)
-        self.wo = _linear_init(rng, d, d)
-        self.bq = parameter(np.zeros(d))
-        self.bk = parameter(np.zeros(d))
-        self.bv = parameter(np.zeros(d))
-        self.bo = parameter(np.zeros(d))
+        self.wq, self.bq = _linear_init(rng, d, d)
+        self.wk, self.bk = _linear_init(rng, d, d)
+        self.wv, self.bv = _linear_init(rng, d, d)
+        self.wo, self.bo = _linear_init(rng, d, d)
 
     def parameters(self):
         return [self.wq, self.bq, self.wk, self.bk,
@@ -175,10 +174,8 @@ class AttentionBlock:
 class MlpBlock:
     def __init__(self, dim, rng):
         hidden = int(round(dim * MLP_RATIO))
-        self.w1 = _linear_init(rng, dim, hidden)
-        self.b1 = parameter(np.zeros(hidden))
-        self.w2 = _linear_init(rng, hidden, dim)
-        self.b2 = parameter(np.zeros(dim))
+        self.w1, self.b1 = _linear_init(rng, dim, hidden)
+        self.w2, self.b2 = _linear_init(rng, hidden, dim)
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -198,12 +195,10 @@ class DemoModel:
         self.n_tokens = (h // p) * (w // p)
         patch_dim = p * p * c
         d = cfg.attention.embed_dim
-        self.w_embed = _linear_init(rng, patch_dim, d)
-        self.b_embed = parameter(np.zeros(d))
+        self.w_embed, self.b_embed = _linear_init(rng, patch_dim, d)
         self.blocks = [(AttentionBlock(cfg.attention, rng, i),
                         MlpBlock(d, rng)) for i in range(cfg.depth)]
-        self.w_head = _linear_init(rng, d, cfg.num_classes)
-        self.b_head = parameter(np.zeros(cfg.num_classes))
+        self.w_head, self.b_head = _linear_init(rng, d, cfg.num_classes)
         # None, or tap(layer_index, xs, gs): called during backward with
         # each block's score inputs and their gradients, row-shaped.
         self.tap = None

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ def test_finite_gradients_whose_squares_overflow_are_a_runaway(monkeypatch):
     assert all(1e290 < n < 1e292 for n in norms)
 
 
+def test_runaway_streak_resets_on_a_step_below_the_norm(monkeypatch):
+    # Nine steps past GRAD_RUNAWAY_NORM, one under it, then ten past it:
+    # the streak starts again at step 11 and reaches 10 at step 20.
+    norms = iter([2e6] * 9 + [1.0])
+    monkeypatch.setattr(harness, "_grad_norm", lambda grads: next(norms, 2e6))
+    log = train(_config(steps=30))
+    assert log.breakdown == Breakdown(step=20, cause="GradNormRunaway")
+    assert len(log.records) == 20
+
+
 def _blow_up_attention(model, factor=1e3):
     # Raw scores of order 1e5 overflow softmax's unshifted exp.
     for attn, _ in model.blocks:
@@ -408,6 +419,19 @@ def test_config_validation():
         cfg.__post_init__()
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("num_classes", 2, r"labels up to 2 .* num_classes 2$"),
+    ("input_shape", (16, 16, 1),
+     r"shape \(8, 8, 1\) .* input_shape \(16, 16, 1\) "),
+], ids=["label-past-num-classes", "image-shape"])
+def test_train_rejects_a_demo_that_does_not_fit_its_dataset(field, value,
+                                                             match):
+    cfg = _config()
+    cfg.demo = replace(cfg.demo, **{field: value})
+    with pytest.raises(ValueError, match=match):
+        train(cfg)
+
+
 # -- tap binning -------------------------------------------------------
 
 
@@ -444,7 +468,7 @@ def test_run_log_roundtrip_completed(tmp_path):
     back = read_run_log(path)
     assert back.final_eval_accuracy == 0.75
     assert back.breakdown is None
-    assert [(r.step, r.loss, r.train_accuracy, r.grad_norm)
+    assert [(r.step, r.loss, r.acc, r.grad_norm)
             for r in back.records] == [(1, 0.5, 0.25, 2.0), (2, 0.4, 0.5, 1.5)]
 
 
@@ -470,10 +494,12 @@ def test_run_log_roundtrip_of_a_tapped_run(tmp_path):
 
 
 @pytest.mark.parametrize("line, error", [
-    ('{"step": 2, "loss": 0.4, "grad_norm": 1.5}', "KeyError"),
+    ('{"step": 2, "loss": 0.4, "grad_norm": 1.5}', "TypeError"),
+    ('{"step": 2, "loss": 0.4, "acc": 0.5, "grad_norm": 1.5, "lr": 0.1}',
+     "TypeError"),
     ("[2, 0.4, 0.5, 1.5]", "TypeError"),
     ('{"tap": {"step": 2}}', "TypeError"),
-], ids=["missing-acc", "json-list", "tap-missing-fields"])
+], ids=["missing-acc", "extra-key", "json-list", "tap-missing-fields"])
 def test_read_run_log_rejects_malformed_line(tmp_path, line, error):
     path = tmp_path / "run.jsonl"
     path.write_text('{"step": 1, "loss": 0.5, "acc": 0.25, "grad_norm": 2.0}'
@@ -497,6 +523,7 @@ def test_run_log_tap_records(tmp_path):
     with open(path, "w") as fh:
         write_run_log(log, fh)
     lines = path.read_text().splitlines()
+    assert lines[0] == '{"step": 1, "loss": 0.5, "acc": 0.25, "grad_norm": 2.0}'
     assert lines[1:4] == [
         '{"tap": {"step": 2, "layer_index": 1, "bins": [{"x_center": -0.5, '
         '"mean_abs_grad": 1.25, "count": 3}]}}',
