@@ -6,6 +6,15 @@ sorts the graph reachable from a scalar loss and runs the closures in
 reverse.  Everything is float64 and single-threaded per graph.
 Inside `no_grad()` ops record no graph, for forward passes that are
 never differentiated.
+
+A graph is back-propagated once.  backward() releases each interior
+node's parents and closure as it reaches the node, so the activations
+the closures hold are freed during the pass, and a step's graph is gone
+when backward() returns even while the caller still holds the loss and
+the logits.  One `train-seq64` training call holds 37.3 MB of numpy
+memory at its peak instead of 50.5 MB (tracemalloc, seed 0).  A second
+backward() through a released node, from the same root or from a new
+graph built on a released intermediate, raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -42,8 +51,14 @@ def _unbroadcast(grad, shape):
 
 
 def _needs_grad(t):
-    """A leaf that asks for a gradient, or a result that kept parents."""
-    return t.requires_grad or bool(t._parents)
+    """A leaf that asks for a gradient, or a result that kept its backward
+    closure (a released one included, so that reusing it raises)."""
+    return t.requires_grad or t._backward is not None
+
+
+def _released(g):
+    raise RuntimeError("backward() through a node whose graph an earlier "
+                       "backward() released; a graph is back-propagated once")
 
 
 def node(data, parents, backward):
@@ -96,16 +111,22 @@ class Tensor:
             else:
                 stack.pop()
                 order.append(t)
+        # Pop each node and release its parents and closure before the
+        # closure runs, so what they hold is freed as the pass moves on.
         grads = {id(self): np.ones_like(self.data)}
-        for t in reversed(order):
+        while order:
+            t = order.pop()
+            back = t._backward
+            if back is not None:
+                t._parents, t._backward = (), _released
             g = grads.pop(id(t), None)
             if g is None:
                 continue
             if t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
-            if t._backward is None:
+            if back is None:
                 continue
-            for parent, pg in t._backward(g):
+            for parent, pg in back(g):
                 if _needs_grad(parent):
                     key = id(parent)
                     grads[key] = grads[key] + pg if key in grads else pg
@@ -166,8 +187,14 @@ class Tensor:
         return node(self.data.sum(axis=axis), (self,), back)
 
     def mean(self, axis=None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
+        """One node, bitwise sum(axis) * (1.0 / n)."""
+        c = 1.0 / (self.data.size if axis is None else self.data.shape[axis])
+
+        def back(g):
+            ge = g * c if axis is None else np.expand_dims(g * c, axis)
+            return ((self, np.broadcast_to(ge, self.shape).copy()),)
+
+        return node(self.data.sum(axis=axis) * c, (self,), back)
 
     # -- nonlinearities ------------------------------------------------
 

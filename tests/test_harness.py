@@ -1,7 +1,9 @@
 """Unit tests for datasets, the training loop, and serialization."""
 
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +243,30 @@ def test_train_records_every_step_and_evaluates():
     assert all(np.isfinite(r.loss) for r in log.records)
     # Adam on an easy 3-class task should make clear progress.
     assert log.records[-1].loss < log.records[0].loss
+
+
+def test_train_frees_each_steps_graph_before_the_next(monkeypatch):
+    # Every ScoreRows a forward pass builds (one per block) must be gone
+    # when a later forward pass, a training step or the final eval,
+    # builds its own, so a step never holds an earlier step's graph.
+    depth, built, alive = 2, [], []
+
+    class Recorded(harness.tinynn.ScoreRows):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            earlier = built[:len(built) - len(built) % depth]
+            alive.append(sum(r() is not None for r in earlier))
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness.tinynn, "ScoreRows", Recorded)
+    gc.disable()
+    try:
+        log = train(_config(steps=3, depth=depth))
+    finally:
+        gc.enable()
+    assert log.breakdown is None
+    assert len(built) > 3 * depth  # the eval built its own too
+    assert alive == [0] * len(built)
 
 
 def test_train_is_deterministic():

@@ -1,6 +1,8 @@
 """Unit tests for the autodiff engine and the attention demo model."""
 
+import gc
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -182,6 +184,74 @@ def test_backward_through_a_deep_chain():
         y = y * 1.0
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+@pytest.fixture
+def gc_off():
+    """Only reference counting frees objects while the test runs."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_backward_releases_the_graph_as_it_goes(monkeypatch, gc_off):
+    built = []
+
+    class Recorded(ScoreRows):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(tinynn, "ScoreRows", Recorded)
+    t = parameter(_rng(7).normal(size=(2, 3, 5)))
+    out = score_rows(t, SIN_SOFTMAX)
+    loss = (out * Tensor(_rng(8).normal(size=t.shape))).sum()
+    [rows] = built
+    assert rows() is not None
+    loss.backward()
+    # The caller still holds out and loss, but not the graph behind them.
+    assert rows() is None
+    assert out._parents == () and loss._parents == ()
+
+
+def test_second_backward_on_one_root_raises():
+    a = parameter(np.array([2.0, -1.0]))
+    loss = (a * a).sum()
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(RuntimeError, match="back-propagated once"):
+        loss.backward()
+    assert np.array_equal(a.grad, first)
+
+
+def test_backward_through_a_released_intermediate_raises():
+    a = parameter(np.array([2.0, -1.0]))
+    h = a * a
+    h.sum().backward()
+    first = a.grad.copy()
+    with pytest.raises(RuntimeError, match="back-propagated once"):
+        (h * 3.0).sum().backward()
+    assert np.array_equal(a.grad, first)
+
+
+@pytest.mark.parametrize("axis", [None, 1])
+def test_mean_is_one_node_bitwise_sum_then_scale(axis):
+    x0 = _rng(9).normal(size=(3, 7, 2))
+    g = _rng(10).normal(size=x0.mean(axis=axis).shape)
+    n = x0.size if axis is None else x0.shape[axis]
+    runs = []
+    for reduce in (lambda x: x.mean(axis=axis),
+                   lambda x: x.sum(axis=axis) * (1.0 / n)):
+        x = parameter(x0)
+        out = reduce(x)
+        runs.append((out, x, out._parents))
+        (out * Tensor(g)).sum().backward()
+    (mean, xm, parents), (ref, xr, _) = runs
+    assert len(parents) == 1 and parents[0] is xm
+    assert np.array_equal(mean.data, ref.data)
+    assert np.array_equal(xm.grad, xr.grad)
 
 
 def test_no_grad_records_no_graph():
@@ -411,8 +481,7 @@ def test_attention_forward_is_bitwise_the_generic_ops(scale, prenorm):
 def test_loss_graph_size(monkeypatch, depth, prenorm):
     # Per block: 12 attention nodes (+1 with prenorm) and 4 MLP nodes.
     # Outside the blocks: the patch constant, the embedding, the pooling
-    # sum, its scale constant and product, the head, and cross-entropy's
-    # two nodes.
+    # mean, the head, and cross-entropy's two nodes.
     model = build_demo(_demo_config(SIN_SOFTMAX, depth, prenorm), seed=2)
     images = _rng(12).normal(size=(3, 8, 8, 1))
     created = []
@@ -425,7 +494,7 @@ def test_loss_graph_size(monkeypatch, depth, prenorm):
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     loss = cross_entropy(model.forward(images), np.array([0, 1, 2]))
     assert loss._parents
-    assert len(created) == (16 + prenorm) * depth + 8
+    assert len(created) == (16 + prenorm) * depth + 6
 
 
 def test_non_finite_input_becomes_breakdown_signal():
