@@ -243,6 +243,11 @@ class ScoreRows:
     _SIREN_FLOOR) as the training path needs.  scores() runs
     check_denominators() on denom.
 
+    Through the pole, vjp() is accurate only outside about 1e-8 of it:
+    closer to pi/2, 1 - sin x is below one ulp of 1, so sin x rounds to 1
+    and f and f' come from the floor.  At pi/2 + 1e-8 the VJP differs
+    from central differences of scores() by about its largest entry.
+
     sin and cos, if given, must be np.sin(x) and np.cos(x); they are
     handed to f_and_fp().
     """

@@ -46,6 +46,8 @@ from periscore.scorefn import (
     NonFiniteDenominator,
 )
 
+from ensemble import desk_config, train_all
+
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
@@ -269,27 +271,6 @@ def test_train_frees_each_steps_graph_before_the_next(monkeypatch):
     assert alive == [0] * len(built)
 
 
-def test_train_is_deterministic():
-    a = train(_config(steps=10))
-    b = train(_config(steps=10))
-    assert [r.loss for r in a.records] == [r.loss for r in b.records]
-    assert a.final_eval_accuracy == b.final_eval_accuracy
-
-
-def test_train_breakdown_is_a_result_not_an_exception():
-    # Depth-2 sin-max reliably hits sustained gradient-norm runaway.
-    attn = AttentionConfig(embed_dim=32, num_heads=2, score_kind=SIN_MAX)
-    demo = DemoConfig(depth=2, attention=attn, patch_size=2,
-                      input_shape=(8, 8, 1), num_classes=10)
-    cfg = TrainConfig(demo=demo, dataset=SyntheticSpec(), steps=60, seed=7)
-    log = train(cfg)
-    assert log.breakdown is not None
-    assert log.breakdown.cause in ("NonFiniteLoss", "ScoreError",
-                                   "GradNormRunaway")
-    assert log.final_eval_accuracy is None
-    assert len(log.records) < 60
-
-
 def test_non_finite_gradient_with_finite_loss_is_non_finite_grad(
         monkeypatch):
     # Cross-entropy's backward hands back NaN while its value stays finite.
@@ -425,11 +406,25 @@ def test_train_taps_run_in_backward_order():
         (2, 1), (2, 0), (4, 1), (4, 0)]
 
 
-def test_train_taps_are_deterministic():
-    a = train(_config(depth=2, steps=4, tap_every=2))
-    b = train(_config(depth=2, steps=4, tap_every=2))
-    assert a.taps == b.taps
-    assert len(a.taps) == 4
+def test_train_all_is_serial_train_in_declared_order():
+    # Each log must equal serial train's, so train is also deterministic.
+    cfgs = [_config(depth=2, steps=4, tap_every=2),
+            desk_config(SIN_MAX, 2, False, steps=60, seed=7, tap_every=5)]
+    tapped, broke = train_all(cfgs)
+    assert [tapped, broke] == [train(cfg) for cfg in cfgs]
+    assert len(tapped.taps) == len(broke.taps) == 4
+    # Depth-2 sin-max runs away: a breakdown is a result, not an exception.
+    assert broke.breakdown.cause in ("NonFiniteLoss", "ScoreError",
+                                     "GradNormRunaway")
+    assert broke.final_eval_accuracy is None and len(broke.records) < 60
+
+
+def test_a_runtime_warning_in_a_worker_fails_the_caller(monkeypatch):
+    # A forked worker inherits the patch and pytest's warning filters.
+    monkeypatch.setattr(harness, "build_dataset", lambda spec, seed:
+                        warnings.warn("warned in a worker", RuntimeWarning))
+    with pytest.raises(RuntimeWarning, match="warned in a worker"):
+        train_all([_config(steps=1)])
 
 
 def test_config_validation():

@@ -19,7 +19,8 @@ BLAS choose code paths by array size, so bitwise equality on the 8x8
 configs does not carry over to 64-token rows.
 It then prints the cos-max depth-4 outcome of the acceptance gate 9
 config (500 steps) on seeds 0-31, one line per seed, and the count of
-breakdowns.
+breakdowns.  One tests/ensemble.train_all call trains all 40 runs on up
+to two worker processes; the lines print once every run has ended.
 
 Run it against two source trees and diff the outputs:
 
@@ -28,8 +29,6 @@ Run it against two source trees and diff the outputs:
     PYTHONPATH=<new>/src python tools/trainlog_digest.py > new.txt
     diff old.txt new.txt
 """
-
-from __future__ import annotations
 
 import dataclasses
 import hashlib
@@ -45,10 +44,8 @@ from periscore import (
     SOFTMAX,
     TAYLOR_SOFTMAX,
     Cifar100Spec,
-    SyntheticSpec,
     TrainConfig,
     read_run_log,
-    train,
     write_run_log,
 )
 from periscore.cli import default_demo_config
@@ -56,6 +53,8 @@ from periscore.scorefn import ScoreFunctionKind
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import CIFAR_RECORDS, cifar_records  # noqa: E402
+from tests.ensemble import (desk_config, outcome,  # noqa: E402
+                            seed_line, train_all)
 
 SWEEP_SEEDS = 32
 
@@ -72,13 +71,6 @@ CONFIGS = (
     ("sin-max d2", SIN_MAX, 2, False, 5),
     ("taylor-softmax d1 + prenorm", TAYLOR_SOFTMAX, 1, True, 50),
 )
-
-
-def _config(kind, depth, prenorm, steps, seed, tap_every=0):
-    demo = default_demo_config(kind, depth, (8, 8, 1), prenorm,
-                               "inv_dmodel", 10)
-    return TrainConfig(demo=demo, dataset=SyntheticSpec(), steps=steps,
-                       seed=seed, tap_every=tap_every)
 
 
 def _sha256(lines):
@@ -109,12 +101,6 @@ def _read_back(log):
         return read_run_log(path)
 
 
-def _outcome(log):
-    if log.breakdown is not None:
-        return f"breakdown@{log.breakdown.step}({log.breakdown.cause})"
-    return f"acc {log.final_eval_accuracy:.4f}"
-
-
 def _seq64_config(path):
     demo = default_demo_config(SIN_SOFTMAX, 1, (32, 32, 3), False,
                                "inv_dmodel", 100)
@@ -122,29 +108,28 @@ def _seq64_config(path):
                        steps=150, seed=1, tap_every=50)
 
 
-def _print_run(label, log):
-    print(f"{label}: {len(log.records)} steps, {_outcome(log)}, "
-          f"sha256 {_records_digest(log)}")
-    back = _read_back(log)
-    print(f"{label}: {len(back.taps)} tap histograms, "
-          f"taps sha256 {_taps_digest(back)}")
-
-
 def main():
-    for label, kind, depth, prenorm, tap_every in CONFIGS:
-        _print_run(label, train(_config(kind, depth, prenorm, steps=150,
-                                        seed=1, tap_every=tap_every)))
+    labels = [label for label, *_ in CONFIGS] + ["sin-softmax d1 32x32x3"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cifar.bin"
         path.write_bytes(cifar_records(1))
-        _print_run("sin-softmax d1 32x32x3", train(_seq64_config(str(path))))
-    broke = 0
-    for seed in range(SWEEP_SEEDS):
-        log = train(_config(COS_MAX, 4, False, steps=500, seed=seed))
-        peak = max((r.grad_norm for r in log.records), default=0.0)
-        broke += log.breakdown is not None
-        print(f"cos-max d4 seed {seed:2d}: {_outcome(log)}, "
-              f"peak grad norm {peak:.3g}, sha256 {_records_digest(log)}")
+        logs = train_all(
+            [desk_config(kind, depth, prenorm, 150, 1, tap_every)
+             for _, kind, depth, prenorm, tap_every in CONFIGS]
+            + [_seq64_config(str(path))]
+            + [desk_config(COS_MAX, 4, False, steps=500, seed=seed)
+               for seed in range(SWEEP_SEEDS)])
+    for label, log in zip(labels, logs):
+        print(f"{label}: {len(log.records)} steps, {outcome(log)}, "
+              f"sha256 {_records_digest(log)}")
+        back = _read_back(log)
+        print(f"{label}: {len(back.taps)} tap histograms, "
+              f"taps sha256 {_taps_digest(back)}")
+    sweep = logs[len(labels):]
+    for seed, log in enumerate(sweep):
+        print(f"{seed_line('cos-max d4', seed, log)}, "
+              f"sha256 {_records_digest(log)}")
+    broke = sum(log.breakdown is not None for log in sweep)
     print(f"cos-max d4: {broke}/{SWEEP_SEEDS} broke down")
 
 
