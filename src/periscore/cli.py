@@ -145,10 +145,8 @@ def _parse_dataset(text):
 
 def default_demo_config(kind, depth, input_shape, prenorm, scale,
                         num_classes):
-    if input_shape == (8, 8, 1):
-        embed, heads, patch = 32, 2, 2
-    else:
-        embed, heads, patch = 64, 4, 4
+    small = input_shape == harness.SyntheticSpec.input_shape
+    embed, heads, patch = (32, 2, 2) if small else (64, 4, 4)
     attn = AttentionConfig(embed_dim=embed, num_heads=heads, score_kind=kind,
                            score_scale=scale, prenormalize=prenorm)
     return DemoConfig(depth=depth, attention=attn, patch_size=patch,
@@ -162,14 +160,8 @@ def cmd_train(args):
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if isinstance(dataset, harness.Cifar100Spec):
-        shape = (32, 32, 3)
-        classes = 100
-    else:
-        shape = (8, 8, 1)
-        classes = dataset.num_classes
-    demo = default_demo_config(kind, args.depth, shape, args.prenorm,
-                               args.scale, classes)
+    demo = default_demo_config(kind, args.depth, dataset.input_shape,
+                               args.prenorm, args.scale, dataset.num_classes)
     cfg = harness.TrainConfig(demo=demo, dataset=dataset, steps=args.steps,
                               seed=args.seed, tap_every=args.tap_every)
     # Open the log first, so that an unwritable --out fails before step 1.

@@ -40,6 +40,7 @@ class Dataset:
 
 @dataclass
 class SyntheticSpec:
+    input_shape = (8, 8, 1)  # a class attribute, not a field
     num_classes: int = 10
     samples_per_class: int = 100
     noise_sd: float = 0.1
@@ -47,6 +48,7 @@ class SyntheticSpec:
 
 @dataclass
 class Cifar100Spec:
+    input_shape, num_classes = (32, 32, 3), 100  # not fields
     path: str
     subset_size: int = 512
 
@@ -125,16 +127,16 @@ def _split_indices(n):
 
 
 def make_synthetic(num_classes, samples_per_class, noise_sd, seed):
-    """8x8x1 images: seeded class templates plus pixel noise."""
+    """SyntheticSpec.input_shape images: class templates plus noise."""
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    rng = seeded_rng(seed)
-    templates = rng.normal(0.0, 1.0, size=(num_classes, 8, 8, 1))
+    rng, shape = seeded_rng(seed), SyntheticSpec.input_shape
+    templates = rng.normal(0.0, 1.0, size=(num_classes, *shape))
     n = num_classes * samples_per_class
     # Contiguous class blocks so the index-based eval split stays
     # class-balanced.
     labels = np.arange(n) // samples_per_class
-    images = templates[labels] + rng.normal(0.0, noise_sd, size=(n, 8, 8, 1))
+    images = templates[labels] + rng.normal(0.0, noise_sd, size=(n, *shape))
     train_idx, eval_idx = _split_indices(n)
     return Dataset(images=images, labels=labels,
                    train_idx=train_idx, eval_idx=eval_idx)
@@ -161,11 +163,13 @@ def load_cifar100(path, subset_size):
         raise CifarFormatError(f"subset_size {subset_size} exceeds the "
                                f"{len(records)} records in the file")
     records = records[:subset_size]
-    fine = records[:, 1].astype(np.int64)
-    if np.any(fine >= 100):
-        bad = int(np.argmax(fine >= 100))
-        raise CifarFormatError(f"fine label {fine[bad]} >= 100 in record {bad}")
-    pixels = records[:, 2:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    fine, top = records[:, 1].astype(np.int64), Cifar100Spec.num_classes
+    if np.any(fine >= top):
+        bad = int(np.argmax(fine >= top))
+        raise CifarFormatError(
+            f"fine label {fine[bad]} >= {top} in record {bad}")
+    h, w, c = Cifar100Spec.input_shape
+    pixels = records[:, 2:].reshape(-1, c, h, w).transpose(0, 2, 3, 1)
     images = pixels.astype(np.float64) / 255.0
     train_idx, eval_idx = _split_indices(len(records))
     return Dataset(images=images, labels=fine,

@@ -9,11 +9,12 @@ from periscore.cli import default_demo_config
 
 
 def desk_config(kind, depth, prenorm, steps, seed, tap_every=0):
-    """The 8x8x1 synthetic task with 10 classes, at the demo's defaults."""
-    demo = default_demo_config(kind, depth, (8, 8, 1), prenorm,
-                               "inv_dmodel", 10)
-    return TrainConfig(demo=demo, dataset=SyntheticSpec(), steps=steps,
-                       seed=seed, tap_every=tap_every)
+    """The synthetic task at its defaults, with the demo's defaults."""
+    data = SyntheticSpec()
+    demo = default_demo_config(kind, depth, data.input_shape, prenorm,
+                               "inv_dmodel", data.num_classes)
+    return TrainConfig(demo=demo, dataset=data, steps=steps, seed=seed,
+                       tap_every=tap_every)
 
 
 def outcome(log):

@@ -39,7 +39,7 @@ from periscore import (
 )
 from periscore.analysis import extreme_diag_gradient
 from periscore.harness import load_cifar100
-from periscore.scorefn import ScoreFunctionKind, f_and_fp
+from periscore.scorefn import ScoreFunctionKind, f_and_fp, seeded_rng
 
 from ensemble import desk_config, seed_line, train_all
 
@@ -48,10 +48,6 @@ PERIODIC_TAGS = frozenset(
     {"sin-max-constant", "sin-max", "cos-max", "sin2-max",
      "sin2-max-shifted", "sin-softmax", "siren-max"}
 )
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -63,7 +59,7 @@ def _report(num, name, ok, detail, elapsed, budget):
 
 def test_criterion_01_gradient_oracle():
     t0 = time.perf_counter()
-    rng = _rng(42)
+    rng = seeded_rng(42)
     worst = 0.0
     skipped = 0
     for kind in ALL_KINDS:
@@ -113,7 +109,7 @@ def test_criterion_03_cosmax_interval():
 
 def test_criterion_04_sinsoftmax_bound():
     t0 = time.perf_counter()
-    x = _rng(13).normal(0.0, 3.0, size=10_000)
+    x = seeded_rng(13).normal(0.0, 3.0, size=10_000)
     f, _ = f_and_fp(SIN_SOFTMAX, x)
     lo, hi = float(f.min()), float(f.max())
     e = math.e
@@ -126,7 +122,7 @@ def test_criterion_04_sinsoftmax_bound():
 
 def test_criterion_05_normalization_invariants():
     t0 = time.perf_counter()
-    rng = _rng(11)
+    rng = seeded_rng(11)
     worst_sum = 0.0
     worst_col = 0.0
     worst_per = 0.0
@@ -205,7 +201,7 @@ def _micro_gradcheck(kind, prenorm):
     cfg = DemoConfig(depth=1, attention=attn, patch_size=2,
                      input_shape=(8, 8, 1), num_classes=3)
     model = build_demo(cfg, seed=3)
-    images = _rng(5).normal(0.0, 1.0, size=(2, 8, 8, 1))
+    images = seeded_rng(5).normal(0.0, 1.0, size=(2, 8, 8, 1))
     labels = np.array([0, 2])
 
     def loss_value():
@@ -303,7 +299,7 @@ def test_criterion_10_cifar_loader_and_scope(tmp_path):
     # synthetic-task accuracies instead, and the binary loader below is
     # verified bit-exactly for anyone training at full scale.
     t0 = time.perf_counter()
-    rng = _rng(3)
+    rng = seeded_rng(3)
     n = 4
     coarse = rng.integers(0, 20, size=n, dtype=np.uint8)
     fine = rng.integers(0, 100, size=n, dtype=np.uint8)

@@ -36,6 +36,7 @@ from periscore.scorefn import (
     COS_MAX,
     DEN_MAX,
     SIN2_MAX,
+    SIN2_MAX_SHIFTED,
     SIN_SOFTMAX,
     SIREN_MAX,
     SOFTMAX,
@@ -68,10 +69,6 @@ KINDS = list(ALL_KINDS) + list(EXTRA_KINDS.values())
 # Off-sums on both sides of every branch: negative, |M| < 1 where a
 # sign-indefinite f lets M + f(x) cross zero, M = 0, and large M.
 REF_M = (-3.0, -1.0, -0.5, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 # -- fixed-M diagonal gradient -----------------------------------------
@@ -466,7 +463,7 @@ def test_saturation_drops_rows_whose_denominator_overflows():
     # At input scale 300 the softmax row sum overflows in many rows, which
     # makes those rows' denominators inf or NaN, or so large that their
     # square overflows.
-    rows = _rng(7).normal(0.0, 300.0, size=(200, 64))
+    rows = seeded_rng(7).normal(0.0, 300.0, size=(200, 64))
     with np.errstate(over="ignore", invalid="ignore"):
         rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
                                   input_scale=300.0, epsilon=1e-4, seed=7)
@@ -489,6 +486,38 @@ def test_saturation_drops_rows_whose_denominator_square_overflows():
     assert rep.skipped_rows == skipped == int((sums >= DEN_MAX).sum()) == 65
     assert rep.sample_count == entries.size == 8640
     assert not np.any(np.isnan(entries))
+
+
+# Row shapes at unit variance: (rng, size) -> rows.
+UNIT_VARIANCE_DRAWS = {
+    "normal": lambda rng, size: rng.normal(0.0, 1.0, size),
+    "laplace": lambda rng, size: rng.laplace(0.0, 1 / math.sqrt(2), size),
+    "t3": lambda rng, size: rng.standard_t(3, size) / math.sqrt(3),
+    "uniform": lambda rng, size: rng.uniform(-math.sqrt(3), math.sqrt(3),
+                                             size),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_saturation_follows_row_shape_at_matched_scale(seed):
+    # The paper's first claim with shape apart from scale: 1000 rows of
+    # width 64 of each shape at scale 2, the fraction of diagonal entries
+    # below 1e-4.  Seeds 0-3 read softmax 0.058-0.059 on normal rows,
+    # 0.114-0.123 Laplace, 0.154-0.166 t(3), 0.0047-0.0059 uniform, and
+    # at most 0.0084 for the periodic kinds.
+    frac = {}
+    for shape, draw in UNIT_VARIANCE_DRAWS.items():
+        rows = 2.0 * draw(seeded_rng(seed), (1000, 64))
+        for kind in (SOFTMAX, SIN_SOFTMAX, SIN2_MAX_SHIFTED):
+            entries, _ = _diag_entries_rows(kind, rows)
+            frac[kind, shape] = float(np.mean(np.abs(entries) < 1e-4))
+    normal = frac[SOFTMAX, "normal"]
+    assert frac[SOFTMAX, "laplace"] >= 1.5 * normal
+    assert frac[SOFTMAX, "t3"] >= 1.5 * normal
+    assert normal >= 5 * frac[SOFTMAX, "uniform"]
+    for shape in UNIT_VARIANCE_DRAWS:
+        assert frac[SIN_SOFTMAX, shape] < 0.02
+        assert frac[SIN2_MAX_SHIFTED, shape] < 0.02
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -704,7 +733,7 @@ def test_curve_csv_roundtrip(tmp_path):
 
 
 def test_row_normalize_whitens():
-    z = row_normalize(_rng(4).normal(2.0, 3.0, size=32))
+    z = row_normalize(seeded_rng(4).normal(2.0, 3.0, size=32))
     assert z.mean() == pytest.approx(0.0, abs=1e-12)
     assert z.var() == pytest.approx(1.0, rel=1e-12)
 
@@ -715,13 +744,13 @@ def test_row_normalize_rejects_constant_rows():
 
 
 def test_row_normalize_jacobian_matches_closed_form():
-    x = _rng(6).normal(1.0, 2.0, size=7)
+    x = seeded_rng(6).normal(1.0, 2.0, size=7)
     np.testing.assert_allclose(row_normalize_jacobian(x),
                                ref_whiten_jacobian(x), rtol=0, atol=1e-15)
 
 
 def test_row_normalize_jacobian_matches_finite_differences():
-    x = _rng(5).normal(size=6)
+    x = seeded_rng(5).normal(size=6)
     a = row_normalize_jacobian(x)
     h = 1e-6
     for k in range(6):
@@ -733,14 +762,14 @@ def test_row_normalize_jacobian_matches_finite_differences():
 
 
 def test_prenormed_scores_are_scale_and_shift_invariant():
-    x = _rng(6).normal(size=8)
+    x = seeded_rng(6).normal(size=8)
     a = prenormed_scores(SOFTMAX, x)
     b = prenormed_scores(SOFTMAX, 10.0 * x + 3.0)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_prenormed_jacobian_matches_finite_differences():
-    x = _rng(7).normal(size=6)
+    x = seeded_rng(7).normal(size=6)
     a = prenormed_jacobian(SIN_SOFTMAX, x)
     h = 1e-6
     for k in range(6):

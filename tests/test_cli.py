@@ -296,7 +296,7 @@ def test_unwritable_out_fails_before_training(tmp_path, capsys, monkeypatch):
 
 
 def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
-    # 5000 bytes is not a whole number of 3074-byte records.
+    # 5000 bytes is not a whole number of CIFAR_RECORD_BYTES records.
     data = tmp_path / "bad.bin"
     data.write_bytes(bytes(5000))
     out = tmp_path / "run.jsonl"
@@ -308,9 +308,27 @@ def test_train_bad_cifar_length_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_cifar_records_exits_0(tmp_path, capsys):
+    # 20 records: 16 training images fill one batch.  Fine labels run up
+    # to 99, which only a demo with Cifar100Spec's 100 classes admits.
+    recs = scorefn.seeded_rng(0).integers(
+        0, 256, size=(20, harness.CIFAR_RECORD_BYTES), dtype=np.uint8)
+    recs[:, 1] = np.arange(80, 100)
+    recs[:, 0] = recs[:, 1] // 5
+    data = tmp_path / "data.bin"
+    data.write_bytes(recs.tobytes())
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "sin-softmax", "--steps", "2",
+                 "--dataset", f"cifar100:{data}:20", "--out", str(out)]) == 0
+    assert "final eval accuracy" in capsys.readouterr().out
+    log = harness.read_run_log(out)
+    assert [r.step for r in log.records] == [1, 2]
+    assert log.breakdown is None
+
+
 def test_train_cifar_subset_below_one_exits_1(tmp_path, capsys):
     data = tmp_path / "data.bin"
-    data.write_bytes(bytes(4 * 3074))
+    data.write_bytes(bytes(4 * harness.CIFAR_RECORD_BYTES))
     out = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "softmax",
                  "--dataset", f"cifar100:{data}:-1", "--out", str(out)]) == 1
@@ -323,7 +341,7 @@ def test_train_cifar_subset_below_one_exits_1(tmp_path, capsys):
 def test_train_cifar_subset_smaller_than_a_batch_exits_2(tmp_path, capsys):
     # 10 records split into 8 training and 2 eval images; a batch is 16.
     data = tmp_path / "data.bin"
-    data.write_bytes(bytes(10 * 3074))
+    data.write_bytes(bytes(10 * harness.CIFAR_RECORD_BYTES))
     out = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "softmax",
                  "--dataset", f"cifar100:{data}:10", "--out", str(out)]) == 2

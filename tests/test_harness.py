@@ -44,13 +44,10 @@ from periscore.scorefn import (
     SIN_SOFTMAX,
     SOFTMAX,
     NonFiniteDenominator,
+    seeded_rng,
 )
 
 from ensemble import desk_config, train_all
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 # -- synthetic dataset -------------------------------------------------
@@ -86,7 +83,7 @@ def test_synthetic_rejects_single_class():
 
 
 def _write_cifar(path, n, seed=0):
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     fine = rng.integers(0, 100, size=n, dtype=np.uint8)
     pixels = rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
     blob = bytearray()
@@ -125,7 +122,7 @@ def test_cifar_loader_rejects_subset_larger_than_the_file(tmp_path):
 
 def test_cifar_loader_rejects_bad_labels(tmp_path):
     path = tmp_path / "bad.bin"
-    rec = bytearray(3074)
+    rec = bytearray(harness.CIFAR_RECORD_BYTES)
     rec[1] = 200  # fine label out of range
     path.write_bytes(bytes(rec))
     with pytest.raises(CifarFormatError):
@@ -164,7 +161,7 @@ def _reference_adam(datas, grads_per_step, spec):
 ], ids=["adam"])
 def test_flat_optimizer_matches_per_parameter_reference(opt_cls, spec,
                                                         reference):
-    rng = _rng(20)
+    rng = seeded_rng(20)
     shapes = [(4, 3), (3,), (2, 5), (5,)]
     # Small parameters next to lr-sized updates, so the last bits of each
     # update reach the parameters instead of rounding away.

@@ -35,6 +35,7 @@ from periscore.scorefn import (
     jacobian,
     pole_mask,
     scores,
+    seeded_rng,
     whiten_rows,
 )
 
@@ -46,10 +47,6 @@ from score_reference import (
     ref_jacobian,
     ref_terms,
 )
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 # -- kind construction -------------------------------------------------
@@ -143,7 +140,7 @@ def test_intermediate_derivative_known_points():
                                   for k in ALL_KINDS], ids=lambda k: k.tag)
 def test_passed_sin_and_cos_change_nothing(kind):
     # Normal draws, and the siren-max pole at pi/2.
-    x = np.append(_rng(22).normal(0.0, 3.0, size=500), math.pi / 2)
+    x = np.append(seeded_rng(22).normal(0.0, 3.0, size=500), math.pi / 2)
     f, fp = f_and_fp(kind, x)
     g, gp = f_and_fp(kind, x, np.sin(x), np.cos(x))
     assert np.array_equal(f, g)
@@ -153,11 +150,11 @@ def test_passed_sin_and_cos_change_nothing(kind):
 @pytest.mark.parametrize("kind", [ScoreFunctionKind(k.tag, margin=1.5)
                                   for k in ALL_KINDS], ids=lambda k: k.tag)
 def test_score_rows_with_passed_sin_and_cos_change_nothing(kind):
-    x = _rng(23).normal(0.0, 3.0, size=(40, 6))
+    x = seeded_rng(23).normal(0.0, 3.0, size=(40, 6))
     x = x[~pole_mask(kind, x).any(axis=-1)]
     x = x[denom_ok(ScoreRows(kind, x).denom).all(axis=-1)]
     assert len(x) >= 30
-    g = _rng(24).normal(size=x.shape)
+    g = seeded_rng(24).normal(size=x.shape)
     cases = [(x, False)]
     if kind.tag == "siren-max":
         # Rows through the pole at pi/2, as training scores them.
@@ -175,7 +172,7 @@ def test_score_rows_with_passed_sin_and_cos_change_nothing(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS + tuple(EXTRA_KINDS.values()),
                          ids=kind_id)
 def test_kind_table_is_bitwise_the_reference(kind):
-    x = _rng(21).normal(0.0, 2.0, size=(60, 7))
+    x = seeded_rng(21).normal(0.0, 2.0, size=(60, 7))
     x = x[~pole_mask(kind, x).any(axis=1)]
     f, fp = f_and_fp(kind, x)
     assert np.array_equal(f, ref_f(kind, x))
@@ -220,13 +217,13 @@ def test_scores_requires_a_row():
 
 
 def test_margin_kind_with_zero_margin_matches_plain():
-    x = _rng(0).normal(size=6)
+    x = seeded_rng(0).normal(size=6)
     np.testing.assert_array_equal(scores(SM_SOFTMAX, x), scores(SOFTMAX, x))
 
 
 def test_margin_kind_scores_each_element_against_unshifted_rest():
     kind = ScoreFunctionKind("sm-softmax", margin=1.5)
-    x = _rng(1).normal(size=5)
+    x = seeded_rng(1).normal(size=5)
     s = scores(kind, x)
     e = np.exp(x)
     for j in range(5):
@@ -301,7 +298,7 @@ def test_siren_pole_raises_and_is_flagged():
 @pytest.mark.parametrize("shape", [(2, 5), (3, 64), (16, 4, 16, 16),
                                    (2, 3, 129), (1000, 2)])
 def test_whiten_rows_is_bitwise_numpy_mean_and_var(shape):
-    rng = _rng(sum(shape))
+    rng = seeded_rng(sum(shape))
     x = 3.0 * rng.normal(size=shape) + rng.normal(size=shape[:-1] + (1,))
     # The same values laid out with the row axis strided.
     strided = np.ascontiguousarray(x.swapaxes(0, -1)).swapaxes(0, -1)
@@ -313,7 +310,7 @@ def test_whiten_rows_is_bitwise_numpy_mean_and_var(shape):
 
 
 def test_degenerate_row_is_a_score_error_at_the_first_flat_row():
-    x = _rng(23).normal(size=(2, 3, 4))
+    x = seeded_rng(23).normal(size=(2, 3, 4))
     x[1, 1] = 0.25    # flat row 4
     x[1, 2, :2] = x[1, 2, 2:] = 1.5    # flat row 5, also degenerate
     with pytest.raises(ScoreError) as exc:
@@ -367,7 +364,7 @@ def test_softmax_jacobian_closed_form():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
 def test_jacobian_matches_finite_differences(kind):
-    rng = _rng(9)
+    rng = seeded_rng(9)
     checked = 0
     while checked < 5:
         x = rng.normal(size=6)
@@ -385,7 +382,7 @@ def test_jacobian_matches_finite_differences(kind):
 def test_stacked_jacobians_are_bitwise_the_row_calls(kind):
     # For sin-max, 4 of these rows have max|S| > 1, so the stack mixes
     # finite-difference steps.
-    xs = _rng(4).normal(size=(8, 6))
+    xs = seeded_rng(4).normal(size=(8, 6))
     for fn in (jacobian, finite_diff_jacobian):
         want = np.stack([fn(kind, x).entries for x in xs])
         assert np.array_equal(fn(kind, xs).entries, want)
@@ -406,14 +403,14 @@ def test_stacked_jacobian_guard_names_the_flat_index():
 
 def test_jacobian_with_margin_matches_finite_differences():
     kind = ScoreFunctionKind("sm-taylor-softmax", taylor_order=3, margin=0.8)
-    x = _rng(2).normal(size=5)
+    x = seeded_rng(2).normal(size=5)
     a = jacobian(kind, x).entries
     f = finite_diff_jacobian(kind, x).entries
     assert np.abs(a - f).max() < 1e-7
 
 
 def test_periodic_kinds_are_periodic():
-    x = _rng(3).normal(size=4)
+    x = seeded_rng(3).normal(size=4)
     for kind in (SIN_MAX, SIN2_MAX, SIN2_MAX_SHIFTED, SIREN_MAX):
         a = scores(kind, x)
         b = scores(kind, x + 2.0 * math.pi)

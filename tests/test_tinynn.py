@@ -33,6 +33,7 @@ from periscore.scorefn import (
     ScoreError,
     ScoreRows,
     jacobian,
+    seeded_rng,
 )
 
 from score_reference import (
@@ -42,10 +43,6 @@ from score_reference import (
     ref_whiten,
     ref_whiten_jacobian,
 )
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 # -- autodiff engine ---------------------------------------------------
@@ -77,7 +74,7 @@ def test_add_mul_chain_gradients():
 
 
 def test_broadcast_add_accumulates_bias_gradient():
-    w = parameter(_rng(0).normal(size=(4, 3)))
+    w = parameter(seeded_rng(0).normal(size=(4, 3)))
     b = parameter(np.zeros(3))
     loss = (Tensor(np.ones((4, 3))) * (w + b)).sum()
     loss.backward()
@@ -85,10 +82,10 @@ def test_broadcast_add_accumulates_bias_gradient():
 
 
 def test_broadcast_along_a_size_one_axis_sums_its_gradient():
-    w = parameter(_rng(24).normal(size=(4, 3)))
+    w = parameter(seeded_rng(24).normal(size=(4, 3)))
     col = parameter(np.zeros((4, 1)))
     row = parameter(np.zeros((1, 3)))
-    g = _rng(25).normal(size=(4, 3))
+    g = seeded_rng(25).normal(size=(4, 3))
     ((w + col + row) * Tensor(g)).sum().backward()
     np.testing.assert_array_equal(col.grad, g.sum(axis=1, keepdims=True))
     np.testing.assert_array_equal(row.grad, g.sum(axis=0, keepdims=True))
@@ -108,8 +105,8 @@ def test_neg_and_sub_gradients():
 
 
 def test_matmul_gradients_match_finite_differences():
-    a = parameter(_rng(1).normal(size=(2, 3, 4)))
-    b = parameter(_rng(2).normal(size=(4, 5)))
+    a = parameter(seeded_rng(1).normal(size=(2, 3, 4)))
+    b = parameter(seeded_rng(2).normal(size=(4, 5)))
 
     def run():
         return float(((a @ b) * (a @ b)).sum().data)
@@ -123,7 +120,7 @@ def test_matmul_gradients_match_finite_differences():
 @pytest.mark.parametrize("x_shape", [(5, 4), (3, 6, 4)],
                          ids=["2d-head", "3d-tokens"])
 def test_linear_is_bitwise_matmul_plus_bias(x_shape):
-    rng = _rng(4)
+    rng = seeded_rng(4)
     x0 = rng.normal(size=x_shape)
     w0 = rng.normal(size=(4, 7))
     b0 = rng.normal(size=7)
@@ -140,7 +137,7 @@ def test_linear_is_bitwise_matmul_plus_bias(x_shape):
 
 
 def test_gelu_and_log_softmax_gradients():
-    x = parameter(_rng(3).normal(size=(3, 5)))
+    x = parameter(seeded_rng(3).normal(size=(3, 5)))
 
     def run():
         return float(x.gelu().log_softmax().sum().data)
@@ -205,9 +202,9 @@ def test_backward_releases_the_graph_as_it_goes(monkeypatch, gc_off):
             built.append(weakref.ref(self))
 
     monkeypatch.setattr(tinynn, "ScoreRows", Recorded)
-    t = parameter(_rng(7).normal(size=(2, 3, 5)))
+    t = parameter(seeded_rng(7).normal(size=(2, 3, 5)))
     out = score_rows(t, SIN_SOFTMAX)
-    loss = (out * Tensor(_rng(8).normal(size=t.shape))).sum()
+    loss = (out * Tensor(seeded_rng(8).normal(size=t.shape))).sum()
     [rows] = built
     assert rows() is not None
     loss.backward()
@@ -238,8 +235,8 @@ def test_backward_through_a_released_intermediate_raises():
 
 @pytest.mark.parametrize("axis", [None, 1])
 def test_mean_is_one_node_bitwise_sum_then_scale(axis):
-    x0 = _rng(9).normal(size=(3, 7, 2))
-    g = _rng(10).normal(size=x0.mean(axis=axis).shape)
+    x0 = seeded_rng(9).normal(size=(3, 7, 2))
+    g = seeded_rng(10).normal(size=x0.mean(axis=axis).shape)
     n = x0.size if axis is None else x0.shape[axis]
     runs = []
     for reduce in (lambda x: x.mean(axis=axis),
@@ -256,7 +253,7 @@ def test_mean_is_one_node_bitwise_sum_then_scale(axis):
 
 def test_no_grad_records_no_graph():
     model = build_demo(_demo_config(kind=SIN_SOFTMAX, prenorm=True), seed=2)
-    images = _rng(16).normal(size=(2, 8, 8, 1))
+    images = seeded_rng(16).normal(size=(2, 8, 8, 1))
     with no_grad():
         logits = model.forward(images)
         loss = cross_entropy(logits, np.array([0, 1]))
@@ -272,7 +269,7 @@ def test_no_grad_records_no_graph():
 
 def test_score_rows_forward_matches_kernel():
     from periscore.scorefn import scores
-    x = _rng(4).normal(size=(2, 5))
+    x = seeded_rng(4).normal(size=(2, 5))
     out = score_rows(Tensor(x), SIN_SOFTMAX)
     for i in range(2):
         np.testing.assert_allclose(out.data[i],
@@ -283,9 +280,9 @@ def test_score_rows_forward_matches_kernel():
 @pytest.mark.parametrize("kind", [SOFTMAX, SIN_MAX, SIN_SOFTMAX],
                          ids=lambda k: k.tag)
 def test_score_rows_backward_matches_jacobian(kind):
-    x = _rng(5).normal(size=(2, 4))
+    x = seeded_rng(5).normal(size=(2, 4))
     t = parameter(x)
-    g = _rng(6).normal(size=(2, 4))
+    g = seeded_rng(6).normal(size=(2, 4))
     out = score_rows(t, kind)
     (out * Tensor(g)).sum().backward()
     for i in range(2):
@@ -297,8 +294,8 @@ def test_score_rows_backward_matches_jacobian(kind):
                          ids=kind_id)
 def test_score_rows_backward_is_bitwise_the_reference(kind):
     # Inputs in (0.1, 1.2) keep sin and cos positive, so no guard fires.
-    x = _rng(17).uniform(0.1, 1.2, size=(2, 3, 6))
-    g = _rng(18).normal(size=x.shape)
+    x = seeded_rng(17).uniform(0.1, 1.2, size=(2, 3, 6))
+    g = seeded_rng(18).normal(size=x.shape)
     tapped = []
     t = parameter(x)
     out = score_rows(t, kind, tap_sink=lambda xs, gs: tapped.append((xs, gs)))
@@ -322,21 +319,38 @@ def test_score_rows_siren_survives_the_pole():
     assert np.all(np.isfinite(t.grad))
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, -1e-7, 0.0])
-def test_score_rows_siren_gradient_through_the_pole_is_central_differences(
-        delta):
-    # The through-pole VJP against central differences of the through-pole
-    # scores, by gradcheck's measure.  Below |delta| of about 1e-8,
-    # 1 - sin x is under one ulp of 1 and the floor takes over.
+def _siren_pole_jacobians(delta):
+    """The through-pole VJP of I at pi/2 + delta, and central differences
+    (h = 1e-6) of the through-pole scores."""
     x = np.array([0.2, math.pi / 2 + delta, -0.4, 1.0])
     J = ScoreRows(SIREN_MAX, x, through_pole=True).vjp(np.eye(4))
     h = 1e-6
     steps = h * np.eye(4)
     up = ScoreRows(SIREN_MAX, x + steps, through_pole=True).scores()
     down = ScoreRows(SIREN_MAX, x - steps, through_pole=True).scores()
-    F = ((up - down) / (2 * h)).T
+    return J, ((up - down) / (2 * h)).T
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, -1e-7, 0.0])
+def test_score_rows_siren_gradient_through_the_pole_is_central_differences(
+        delta):
+    # By gradcheck's measure.  Below |delta| of about 1e-8, 1 - sin x is
+    # under one ulp of 1 and the floor takes over.
+    J, F = _siren_pole_jacobians(delta)
     scale = max(np.abs(J).max(), np.abs(F).max(), 1.0)
     assert np.abs(J - F).max() / scale < 1e-6
+
+
+@pytest.mark.parametrize("delta", [1e-8, -1e-8])
+def test_score_rows_siren_gradient_within_1e_8_of_the_pole_is_wrong(delta):
+    # Pins the limit that the ScoreRows docstring (src/periscore/scorefn.py)
+    # and the README's siren-max paragraph state: within about 1e-8 of
+    # pi/2, sin x rounds to 1, f and f' come from _SIREN_FLOOR, and the
+    # VJP is off by about its largest entry.  A fix to _siren that makes
+    # this fail must update both texts.  Measured against the largest
+    # entry with no floor: gradcheck's floor of 1.0 hides a gap of 7e-8.
+    J, F = _siren_pole_jacobians(delta)
+    assert np.abs(J - F).max() > 0.5 * max(np.abs(J).max(), np.abs(F).max())
 
 
 def test_score_rows_denominator_guard_carries_location():
@@ -349,9 +363,9 @@ def test_score_rows_denominator_guard_carries_location():
 
 
 def test_normalize_rows_backward_matches_jacobian():
-    x = _rng(7).normal(size=(3, 5))
+    x = seeded_rng(7).normal(size=(3, 5))
     t = parameter(x)
-    g = _rng(8).normal(size=(3, 5))
+    g = seeded_rng(8).normal(size=(3, 5))
     (normalize_rows(t) * Tensor(g)).sum().backward()
     for i in range(3):
         want = g[i] @ ref_whiten_jacobian(x[i])
@@ -361,8 +375,8 @@ def test_normalize_rows_backward_matches_jacobian():
 @pytest.mark.parametrize("shape", [(2, 6), (3, 1, 5), (16, 4, 16, 16)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_normalize_rows_is_bitwise_the_reference(shape):
-    x = _rng(19).normal(0.5, 2.0, size=shape)
-    g = _rng(20).normal(size=shape)
+    x = seeded_rng(19).normal(0.5, 2.0, size=shape)
+    g = seeded_rng(20).normal(size=shape)
     t = parameter(x)
     out = normalize_rows(t)
     (out * Tensor(g)).sum().backward()
@@ -372,7 +386,7 @@ def test_normalize_rows_is_bitwise_the_reference(shape):
 
 
 def test_normalize_rows_rejects_a_constant_row():
-    x = _rng(21).normal(size=(3, 4))
+    x = seeded_rng(21).normal(size=(3, 4))
     x[1] = 2.5
     with pytest.raises(DegenerateRow):
         normalize_rows(parameter(x))
@@ -402,7 +416,7 @@ def test_config_validation():
 
 def test_forward_shapes_and_determinism():
     model = build_demo(_demo_config(depth=2), seed=1)
-    images = _rng(9).normal(size=(3, 8, 8, 1))
+    images = seeded_rng(9).normal(size=(3, 8, 8, 1))
     logits = model.forward(images)
     assert logits.shape == (3, 4)
     again = build_demo(_demo_config(depth=2), seed=1).forward(images)
@@ -427,8 +441,8 @@ def test_attention_forward_scores_are_rows_of_probabilities(monkeypatch):
 
     monkeypatch.setattr(tinynn, "score_rows", spy)
     cfg = AttentionConfig(embed_dim=8, num_heads=2, score_kind=SOFTMAX)
-    block = AttentionBlock(cfg, _rng(2), layer_index=0)
-    out = block.forward(Tensor(_rng(10).normal(size=(1, 5, 8))))
+    block = AttentionBlock(cfg, seeded_rng(2), layer_index=0)
+    out = block.forward(Tensor(seeded_rng(10).normal(size=(1, 5, 8))))
     assert out.shape == (1, 5, 8)
     [s] = seen
     assert s.shape == (1, 2, 5, 5)
@@ -461,9 +475,9 @@ def _generic_attention(block, x):
 def test_attention_forward_is_bitwise_the_generic_ops(scale, prenorm):
     cfg = AttentionConfig(embed_dim=8, num_heads=2, score_kind=SIN_SOFTMAX,
                           score_scale=scale, prenormalize=prenorm)
-    block = AttentionBlock(cfg, _rng(5), layer_index=0)
-    x0 = _rng(13).normal(size=(2, 5, 8))
-    c = _rng(14).normal(size=(2, 5, 8))
+    block = AttentionBlock(cfg, seeded_rng(5), layer_index=0)
+    x0 = seeded_rng(13).normal(size=(2, 5, 8))
+    c = seeded_rng(14).normal(size=(2, 5, 8))
     runs = []
     for forward in (block.forward, partial(_generic_attention, block)):
         for p in block.parameters():
@@ -483,7 +497,7 @@ def test_loss_graph_size(monkeypatch, depth, prenorm):
     # Outside the blocks: the patch constant, the embedding, the pooling
     # mean, the head, and cross-entropy's two nodes.
     model = build_demo(_demo_config(SIN_SOFTMAX, depth, prenorm), seed=2)
-    images = _rng(12).normal(size=(3, 8, 8, 1))
+    images = seeded_rng(12).normal(size=(3, 8, 8, 1))
     created = []
     init = Tensor.__init__
 
@@ -524,7 +538,7 @@ def test_degenerate_prenorm_row_breakdown_carries_its_location():
 def _tapped_backward(tap, step, depth=2, seed=6):
     model = build_demo(_demo_config(depth=depth), seed=seed)
     model.tap = tap
-    images = _rng(13).normal(size=(2, 8, 8, 1))
+    images = seeded_rng(13).normal(size=(2, 8, 8, 1))
     loss = cross_entropy(model.forward(images, step=step), np.array([0, 1]))
     loss.backward()
     return model
@@ -567,7 +581,7 @@ def test_disabled_taps_record_nothing():
     model = build_demo(_demo_config(), seed=6)
     model.tap = partial(_bin_tap, hists, 1)
     model.tap = None
-    images = _rng(15).normal(size=(1, 8, 8, 1))
+    images = seeded_rng(15).normal(size=(1, 8, 8, 1))
     cross_entropy(model.forward(images), np.array([0])).backward()
     assert hists == []
 
@@ -578,7 +592,7 @@ def test_tap_hook_receives_each_blocks_score_inputs_and_gradients():
     model = build_demo(_demo_config(depth=2), seed=6)
     calls = []
     model.tap = lambda layer, xs, gs: calls.append((layer, xs, gs))
-    images = _rng(16).normal(size=(2, 8, 8, 1))
+    images = seeded_rng(16).normal(size=(2, 8, 8, 1))
     cross_entropy(model.forward(images), np.array([0, 1])).backward()
     assert [layer for layer, _, _ in calls] == [1, 0]
     for _, xs, gs in calls:

@@ -13,8 +13,9 @@ shows that the records lose nothing. Floats are written exactly (hex).
 The training bits and the tap histograms are digested apart, so a
 change to the histograms cannot hide a change to training.
 The configs are the 8x8 synthetic task at several kinds and depths, and
-the benchmark's train-seq64 shape: sin-softmax depth 1 on 32x32x3
-CIFAR-format records from perfbench.workloads.cifar_records.  NumPy and
+a 32x32x3 one that is the benchmark's own: perfbench.workloads.TrainSeq64's
+config at seed 1 and 150 steps (sin-softmax depth 1 on the CIFAR-format
+records that cifar_records(1) makes), with taps every 50 steps.  NumPy and
 BLAS choose code paths by array size, so bitwise equality on the 8x8
 configs does not carry over to 64-token rows.
 It then prints the cos-max depth-4 outcome of the acceptance gate 9
@@ -35,6 +36,7 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from periscore import (
     COS_MAX,
@@ -43,16 +45,16 @@ from periscore import (
     SIREN_MAX,
     SOFTMAX,
     TAYLOR_SOFTMAX,
-    Cifar100Spec,
-    TrainConfig,
+    cli,
+    harness,
     read_run_log,
+    scorefn,
     write_run_log,
 )
-from periscore.cli import default_demo_config
 from periscore.scorefn import ScoreFunctionKind
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.workloads import CIFAR_RECORDS, cifar_records  # noqa: E402
+from perfbench.workloads import TrainSeq64  # noqa: E402
 from tests.ensemble import (desk_config, outcome,  # noqa: E402
                             seed_line, train_all)
 
@@ -101,22 +103,17 @@ def _read_back(log):
         return read_run_log(path)
 
 
-def _seq64_config(path):
-    demo = default_demo_config(SIN_SOFTMAX, 1, (32, 32, 3), False,
-                               "inv_dmodel", 100)
-    return TrainConfig(demo=demo, dataset=Cifar100Spec(path, CIFAR_RECORDS),
-                       steps=150, seed=1, tap_every=50)
-
-
 def main():
     labels = [label for label, *_ in CONFIGS] + ["sin-softmax d1 32x32x3"]
+    # The benchmark's modules namespace, bound to the periscore imported
+    # above: perfbench.workloads.load_periscore would import it afresh.
+    ps = SimpleNamespace(cli=cli, harness=harness, scorefn=scorefn)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cifar.bin"
-        path.write_bytes(cifar_records(1))
+        seq64 = TrainSeq64(1, Path(tmp)).config(ps, 1, 150)
         logs = train_all(
             [desk_config(kind, depth, prenorm, 150, 1, tap_every)
              for _, kind, depth, prenorm, tap_every in CONFIGS]
-            + [_seq64_config(str(path))]
+            + [dataclasses.replace(seq64, tap_every=50)]
             + [desk_config(COS_MAX, 4, False, steps=500, seed=seed)
                for seed in range(SWEEP_SEEDS)])
     for label, log in zip(labels, logs):
