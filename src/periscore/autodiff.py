@@ -1,37 +1,41 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Tape-free graph style: each Tensor remembers its parents and a closure
-that routes its output adjoint back to them.  backward() topologically
-sorts the graph reachable from a scalar loss and runs the closures in
-reverse.  Everything is float64 and single-threaded per graph.
+Tape-free graph style: each Tensor carries a creation number and a
+closure that routes its output adjoint back to its parents.  An op makes
+its result after its inputs, so backward() walks the graph reachable
+from a scalar loss in reverse creation order and runs each closure once.
+Everything is float64 and single-threaded per graph.
 Inside `no_grad()` ops record no graph, for forward passes that are
 never differentiated.
 
 A graph is back-propagated once.  backward() releases each interior
-node's parents and closure as it reaches the node, so the activations
-the closures hold are freed during the pass, and the graph is gone when
-backward() returns even while the caller still holds the loss and the
-logits.  So a training step does not hold the previous step's graph
-through its own forward pass: a `train-seq64` training call (seed 0)
-peaks at 37.3 MiB of numpy memory under tracemalloc, where holding that
-graph took 50.5 MiB.
+node's closure as it reaches the node, so the activations the closures
+hold are freed during the pass, and the graph is gone when backward()
+returns even while the caller still holds the loss and the logits.  So
+a training step does not hold the previous step's graph through its own
+forward pass: a `train-seq64` training call (seed 0) peaks at 37.3 MiB
+of numpy memory under tracemalloc, where holding that graph took
+50.5 MiB.
 A second backward() through a released node, from the same root or from
 a new graph built on a released intermediate, raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
+_created = itertools.count()  # creation numbers, one per Tensor
 
 
 @contextmanager
 def no_grad():
-    """Run ops without recording parents or backward closures."""
+    """Run ops without recording backward closures."""
     global _grad_enabled
     saved, _grad_enabled = _grad_enabled, False
     try:
@@ -64,12 +68,11 @@ def _released(g):
 
 
 def node(data, parents, backward):
-    """The Tensor result of an op; backward(g) maps its adjoint to
-    (parent, gradient) pairs.  Parents and backward are kept only while
-    recording is on and some parent needs a gradient."""
+    """The Tensor result of an op, made after its parents; backward(g)
+    maps its adjoint to (parent, gradient) pairs.  backward is kept only
+    while recording is on and some parent needs a gradient."""
     out = Tensor(data)
     if _grad_enabled and any(_needs_grad(p) for p in parents):
-        out._parents = parents
         out._backward = backward
     return out
 
@@ -79,14 +82,14 @@ def _tensor(x):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_number")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = ()
         self._backward = None
+        self._number = next(_created)
 
     @property
     def shape(self):
@@ -98,40 +101,26 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        # Depth-first post-order over the parents, with an explicit stack
-        # so deep graphs do not hit the recursion limit.
-        order = []
-        seen = {id(self)}
-        stack = [(self, iter(self._parents))]
-        while stack:
-            t, parents = stack[-1]
-            for p in parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    break
-            else:
-                stack.pop()
-                order.append(t)
-        # Pop each node and release its parents and closure before the
-        # closure runs, so what they hold is freed as the pass moves on.
+        # Every consumer of a node was made after it, so the pending node
+        # with the largest number has all its gradient.  Numbers are unique,
+        # so the heap never compares Tensors.
         grads = {id(self): np.ones_like(self.data)}
-        while order:
-            t = order.pop()
-            back = t._backward
-            if back is not None:
-                t._parents, t._backward = (), _released
-            g = grads.pop(id(t), None)
-            if g is None:
-                continue
+        pending = [(-self._number, self)]
+        while pending:
+            t = heapq.heappop(pending)[1]
+            g = grads.pop(id(t))
             if t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
+            back = t._backward
             if back is None:
                 continue
+            t._backward = _released  # the closure dies once the walk moves on
             for parent, pg in back(g):
                 if _needs_grad(parent):
-                    key = id(parent)
-                    grads[key] = grads[key] + pg if key in grads else pg
+                    old = grads.get(id(parent))
+                    if old is None:
+                        heapq.heappush(pending, (-parent._number, parent))
+                    grads[id(parent)] = pg if old is None else old + pg
 
     # -- elementwise ---------------------------------------------------
 

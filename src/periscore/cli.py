@@ -28,6 +28,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _invalid(err):
+    """Report a flag or validation failure; its exit code is 1."""
+    print(f"error: {err}", file=sys.stderr)
+    return 1
+
+
 def _kind_from_flags(name, args):
     return ScoreFunctionKind(name, taylor_order=args.taylor_order,
                              margin=args.margin, phase=args.phase)
@@ -44,17 +50,17 @@ def _add_kind_params(p):
 
 
 def cmd_curves(args):
-    kind = _kind_from_flags(args.fn, args)
-    if not args.x_min < args.x_max:
-        print("error: --x-min must be < --x-max", file=sys.stderr)
-        return 1
-    if args.prenorm:
-        curve = analysis.prenorm_gradient_curve(
-            kind, args.m, args.x_min, args.x_max, args.steps, args.dim,
-            args.var)
-    else:
-        curve = analysis.gradient_curve(kind, args.m, args.x_min, args.x_max,
-                                        args.steps)
+    try:  # the curve functions raise ValueError only for their arguments
+        kind = _kind_from_flags(args.fn, args)
+        if args.prenorm:
+            curve = analysis.prenorm_gradient_curve(
+                kind, args.m, args.x_min, args.x_max, args.steps, args.dim,
+                args.var)
+        else:
+            curve = analysis.gradient_curve(kind, args.m, args.x_min,
+                                            args.x_max, args.steps)
+    except ValueError as err:
+        return _invalid(err)
     if np.all(np.isnan(curve.y_values)):
         print("error: every point hit a guard", file=sys.stderr)
         return 2
@@ -82,16 +88,17 @@ def _rel_errors(kind, xs):
 
 def cmd_gradcheck(args):
     if args.dim < 2 or args.trials < 1 or not args.tol >= 0:
-        print("error: need --dim >= 2, --trials >= 1 and --tol >= 0",
-              file=sys.stderr)
-        return 1
+        return _invalid("need --dim >= 2, --trials >= 1 and --tol >= 0")
     names = KIND_NAMES if args.fn == "all" else [args.fn]
+    try:
+        kinds = [_kind_from_flags(name, args) for name in names]
+    except ValueError as err:
+        return _invalid(err)
     rng = scorefn.seeded_rng(args.seed)
     # A trial's finite-difference stack holds 2 * dim**2 elements.
     step = max(1, analysis.BLOCK_ELEMENTS // (2 * args.dim ** 2))
     all_pass = True
-    for name in names:
-        kind = _kind_from_flags(name, args)
+    for name, kind in zip(names, kinds):
         xs = rng.normal(0.0, 1.0, size=(args.trials, args.dim))
         errs = np.concatenate([_rel_errors(kind, xs[i:i + step])
                                for i in range(0, args.trials, step)])
@@ -154,16 +161,16 @@ def default_demo_config(kind, depth, input_shape, prenorm, scale,
 
 
 def cmd_train(args):
-    kind = _kind_from_flags(args.score, args)
     try:
         dataset = _parse_dataset(args.dataset)
+        demo = default_demo_config(
+            _kind_from_flags(args.score, args), args.depth,
+            dataset.input_shape, args.prenorm, args.scale, dataset.num_classes)
+        cfg = harness.TrainConfig(demo=demo, dataset=dataset,
+                                  steps=args.steps, seed=args.seed,
+                                  tap_every=args.tap_every)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    demo = default_demo_config(kind, args.depth, dataset.input_shape,
-                               args.prenorm, args.scale, dataset.num_classes)
-    cfg = harness.TrainConfig(demo=demo, dataset=dataset, steps=args.steps,
-                              seed=args.seed, tap_every=args.tap_every)
+        return _invalid(err)
     # Open the log first, so that an unwritable --out fails before step 1.
     with open(args.out, "w") as fh:
         try:

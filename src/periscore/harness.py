@@ -150,9 +150,11 @@ def load_cifar100(path, subset_size):
     """Parse CIFAR-100 binary records (coarse byte, fine byte, CHW pixels).
 
     Pixels are scaled to [0, 1] and reshaped to HWC; the first
-    subset_size records are taken in file order, and a file holding fewer
-    raises CifarFormatError.
+    subset_size (>= 1) records are taken in file order, and a file holding
+    fewer raises CifarFormatError.
     """
+    if subset_size < 1:
+        raise ValueError("subset_size must be >= 1")
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:

@@ -158,7 +158,6 @@ class AttentionBlock:
         d, h = cfg.embed_dim, cfg.num_heads
         q = _split_heads(linear(x, self.wq, self.bq), h)
         k = _split_heads(linear(x, self.wk, self.bk), h)
-        v = _split_heads(linear(x, self.wv, self.bv), h)
         scale = 1.0 / d if cfg.score_scale == "inv_dmodel" else 1.0 / math.sqrt(d)
         raw = _scaled_logits(q, k, scale)
         sink = None if tap is None else partial(tap, self.layer_index)
@@ -168,6 +167,8 @@ class AttentionBlock:
             s = score_rows(raw, cfg.score_kind, tap_sink=sink)
         except ScoreError as err:
             raise BreakdownSignal(err, self.layer_index, step) from err
+        # Last, so reverse-creation backward ends v before the score VJP peak.
+        v = _split_heads(linear(x, self.wv, self.bv), h)
         return linear(_merge_heads(s @ v), self.wo, self.bo)
 
 

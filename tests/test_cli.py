@@ -93,13 +93,22 @@ def test_curves_off_sum_whose_square_overflows_exits_2(tmp_path, capsys):
     ["--dim", "0"], ["--dim", "1"], ["--var", "-1"], ["--var", "0"],
     ["--var", "inf"], ["--x-max", "inf"],
     ["--steps", "0"], ["--steps", "1"]], ids=" ".join)
-def test_curves_prenorm_bad_argument_exits_2(tmp_path, capsys, flags):
+def test_curves_prenorm_bad_argument_exits_1(tmp_path, capsys, flags):
     out = tmp_path / "c.csv"
     code = _run(["curves", "--fn", "softmax", "--prenorm", "--x-min", "-1",
                  "--x-max", "1", "--out", str(out)] + flags)
-    assert code == 2
+    assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: need ")
+    assert not out.exists()
+
+
+def test_curves_bad_kind_parameter_exits_1(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert _run(["curves", "--fn", "sm-softmax", "--margin", "-1",
+                 "--x-min", "-1", "--x-max", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "margin" in err[0]
     assert not out.exists()
 
 
@@ -138,6 +147,17 @@ def test_gradcheck_nan_or_negative_tolerance_exits_1(capsys, tol):
     assert out == ""
     err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: need ")
+
+
+@pytest.mark.parametrize("fn", ["sm-softmax", "all"])
+def test_gradcheck_bad_margin_exits_1(capsys, fn):
+    # Every kind is built before the first is checked, so nothing prints.
+    assert _run(["gradcheck", "--fn", fn, "--margin", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "margin" in err[0]
 
 
 @pytest.mark.parametrize("tol", ["0", "inf"])
@@ -351,13 +371,15 @@ def test_train_cifar_subset_smaller_than_a_batch_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_negative_tap_every_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--tap-every", "-1"], ["--steps", "0"], ["--depth", "0"]], ids=" ".join)
+def test_train_bad_argument_exits_1(tmp_path, capsys, flags):
     out = tmp_path / "run.jsonl"
-    assert _run(["train", "--score", "softmax", "--tap-every", "-1",
-                 "--out", str(out)]) == 2
+    assert _run(["train", "--score", "softmax", "--out", str(out)]
+                + flags) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "tap_every" in err[0]
+    assert flags[0][2:].replace("-", "_") in err[0]
     assert not list(tmp_path.iterdir())
 
 
@@ -394,11 +416,11 @@ def test_taps_pipeline(tmp_path):
 
 
 @pytest.mark.parametrize("margin", ["-1", "nan", "inf"])
-def test_train_bad_margin_exits_2_and_leaves_no_log(tmp_path, capsys,
+def test_train_bad_margin_exits_1_and_leaves_no_log(tmp_path, capsys,
                                                     margin):
     out = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "sm-softmax", f"--margin={margin}",
-                 "--steps", "2", "--out", str(out)]) == 2
+                 "--steps", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "margin" in err[0]

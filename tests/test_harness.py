@@ -120,6 +120,16 @@ def test_cifar_loader_rejects_subset_larger_than_the_file(tmp_path):
         load_cifar100(str(path), subset_size=1000)
 
 
+@pytest.mark.parametrize("subset_size", [0, -1])
+def test_cifar_loader_rejects_subset_below_one(tmp_path, subset_size):
+    # Unchecked, records[:-1] would drop the last record and [:0] keep none.
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 10)
+    for p in (path, tmp_path / "missing.bin"):  # checked before the read
+        with pytest.raises(ValueError, match="subset_size must be >= 1"):
+            load_cifar100(str(p), subset_size=subset_size)
+
+
 def test_cifar_loader_rejects_bad_labels(tmp_path):
     path = tmp_path / "bad.bin"
     rec = bytearray(harness.CIFAR_RECORD_BYTES)
@@ -188,7 +198,7 @@ def test_flat_optimizer_matches_per_parameter_reference(opt_cls, spec,
 
 
 def _tracking_on():
-    return bool((parameter(np.ones(2)) * Tensor(np.ones(2)))._parents)
+    return (parameter(np.ones(2)) * Tensor(np.ones(2)))._backward is not None
 
 
 def test_eval_accuracy_restores_tracking():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from periscore import model as tinynn
-from periscore.autodiff import (Tensor, cross_entropy, linear, no_grad,
-                                parameter)
+from periscore.autodiff import (Tensor, _released, cross_entropy, linear,
+                                no_grad, parameter)
 from periscore.model import (
     AttentionBlock,
     AttentionConfig,
@@ -183,6 +183,40 @@ def test_backward_through_a_deep_chain():
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
+def test_backward_accumulates_consumers_in_reverse_creation_order():
+    a = parameter(np.array([1.0]))
+    terms = [a * 1.0, a * 1e16, a * -1e16]
+    (terms[0] + terms[1] + terms[2]).sum().backward()
+    # ((-1e16 + 1e16) + 1.0); creation order would give (1.0 + 1e16) - 1e16.
+    assert a.grad[0] == 1.0
+
+
+def test_backward_completes_a_node_fed_by_branches_of_unequal_depth():
+    x = parameter(np.array([0.5, -2.0]))
+    h = x * x
+    short = h * 3.0
+    long = h
+    for _ in range(4):
+        long = long * 1.5
+    (short + long).sum().backward()
+    # d/dx of (3 + 1.5**4) x**2, exact in binary.
+    np.testing.assert_array_equal(x.grad, (3.0 + 1.5 ** 4) * 2.0 * x.data)
+
+
+@pytest.fixture
+def created(monkeypatch):
+    """Every Tensor made from here on, in creation order."""
+    made = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return made
+
+
 @pytest.fixture
 def gc_off():
     """Only reference counting frees objects while the test runs."""
@@ -210,7 +244,7 @@ def test_backward_releases_the_graph_as_it_goes(monkeypatch, gc_off):
     loss.backward()
     # The caller still holds out and loss, but not the graph behind them.
     assert rows() is None
-    assert out._parents == () and loss._parents == ()
+    assert out._backward is _released and loss._backward is _released
 
 
 def test_second_backward_on_one_root_raises():
@@ -234,19 +268,19 @@ def test_backward_through_a_released_intermediate_raises():
 
 
 @pytest.mark.parametrize("axis", [None, 1])
-def test_mean_is_one_node_bitwise_sum_then_scale(axis):
+def test_mean_is_one_node_bitwise_sum_then_scale(axis, created):
     x0 = seeded_rng(9).normal(size=(3, 7, 2))
     g = seeded_rng(10).normal(size=x0.mean(axis=axis).shape)
     n = x0.size if axis is None else x0.shape[axis]
-    runs = []
-    for reduce in (lambda x: x.mean(axis=axis),
-                   lambda x: x.sum(axis=axis) * (1.0 / n)):
-        x = parameter(x0)
-        out = reduce(x)
-        runs.append((out, x, out._parents))
+    xm, xr = parameter(x0), parameter(x0)
+    del created[:]
+    mean = xm.mean(axis=axis)
+    assert created == [mean]
+    [(parent, _)] = mean._backward(g)
+    assert parent is xm
+    ref = xr.sum(axis=axis) * (1.0 / n)
+    for out in (mean, ref):
         (out * Tensor(g)).sum().backward()
-    (mean, xm, parents), (ref, xr, _) = runs
-    assert len(parents) == 1 and parents[0] is xm
     assert np.array_equal(mean.data, ref.data)
     assert np.array_equal(xm.grad, xr.grad)
 
@@ -257,10 +291,9 @@ def test_no_grad_records_no_graph():
     with no_grad():
         logits = model.forward(images)
         loss = cross_entropy(logits, np.array([0, 1]))
-    assert logits._parents == () and logits._backward is None
-    assert loss._parents == () and loss._backward is None
+    assert logits._backward is None and loss._backward is None
     tracked = model.forward(images)
-    assert tracked._parents
+    assert tracked._backward not in (None, _released)
     np.testing.assert_array_equal(logits.data, tracked.data)
 
 
@@ -492,22 +525,15 @@ def test_attention_forward_is_bitwise_the_generic_ops(scale, prenorm):
 
 @pytest.mark.parametrize("prenorm", [False, True], ids=["raw", "prenorm"])
 @pytest.mark.parametrize("depth", [1, 3])
-def test_loss_graph_size(monkeypatch, depth, prenorm):
+def test_loss_graph_size(created, depth, prenorm):
     # Per block: 12 attention nodes (+1 with prenorm) and 4 MLP nodes.
     # Outside the blocks: the patch constant, the embedding, the pooling
     # mean, the head, and cross-entropy's two nodes.
     model = build_demo(_demo_config(SIN_SOFTMAX, depth, prenorm), seed=2)
     images = seeded_rng(12).normal(size=(3, 8, 8, 1))
-    created = []
-    init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        created.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    del created[:]
     loss = cross_entropy(model.forward(images), np.array([0, 1, 2]))
-    assert loss._parents
+    assert loss._backward not in (None, _released)
     assert len(created) == (16 + prenorm) * depth + 6
 
 
