@@ -33,9 +33,9 @@ from .scorefn import jacobian, scores  # noqa: F401
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 
-# Batched jobs (submersion_curve, the gradcheck command, the extremum
-# grid's (M, x) blocks) score at most this many elements per kernel call,
-# so their temporaries stay near 128 KiB whatever the row width.
+# submersion_curve and the gradcheck command score at most this many
+# elements per kernel call, so their temporaries stay near 128 KiB
+# whatever the row width.
 BLOCK_ELEMENTS = 16384
 # The extremum grid pass bounds each block of this many grid points and
 # scores only the blocks whose bound can reach a known grid value.
@@ -181,13 +181,13 @@ def _needed_blocks(ms, signs, f, fp, ok):
 def _extrema(kind, m_values, mode):
     """extreme_diag_gradient for each M, as an array.
 
-    For each M, one pass over the grid blocks that _needed_blocks keeps,
-    in x order and in chunks of at most BLOCK_ELEMENTS points, keeps each
-    sign's first largest sign * gradient, guard points counting as -inf,
-    as nanargmax would; the guard mask is built only for a chunk that has
-    a guard point.  A dropped block holds only values below one the scan
-    sees, so this is bitwise the scan of the whole grid.  One lockstep
-    golden-section search then refines them all.
+    For each M, each run of adjacent grid blocks that _needed_blocks
+    keeps is scored whole, in x order, keeping each sign's first largest
+    sign * gradient, guard points counting as -inf, as nanargmax would;
+    the guard mask is built only for a run that has a guard point.  A
+    dropped block holds only values below one the scan sees, so this is
+    bitwise the scan of the whole grid.  One lockstep golden-section
+    search then refines them all.
     """
     xs, sin, cos = _grid(*GRID_RANGE, GRID_STEP)
     ok = ~pole_mask(kind, xs, sin)
@@ -201,18 +201,16 @@ def _extrema(kind, m_values, mode):
     for r, need in enumerate(_needed_blocks(ms, signs, f, fp, ok)):
         runs = np.flatnonzero(np.diff(need, prepend=False, append=False))
         for lo, hi in runs.reshape(-1, 2) * BOUND_WIDTH:
-            for start in range(lo, min(hi, xs.size), BLOCK_ELEMENTS):
-                cut = slice(start, min(start + BLOCK_ELEMENTS, hi))
-                with np.errstate(all="ignore"):
-                    denom, ys = _fixed_m_quotient(ms[r], f[cut], fp[cut])
-                dead = (None if ok[cut].all() and denoms_all_ok(denom)
-                        else ~(ok[cut] & denom_ok(denom)))
-                for s, sign in enumerate(signs):
-                    if dead is not None:
-                        np.copyto(ys, -sign * np.inf, where=dead)
-                    j = ys.argmax() if sign > 0 else ys.argmin()
-                    if sign * ys[j] > peak[r, s]:
-                        peak[r, s], at[r, s] = sign * ys[j], start + j
+            with np.errstate(all="ignore"):
+                denom, ys = _fixed_m_quotient(ms[r], f[lo:hi], fp[lo:hi])
+            dead = (None if ok[lo:hi].all() and denoms_all_ok(denom)
+                    else ~(ok[lo:hi] & denom_ok(denom)))
+            for s, sign in enumerate(signs):
+                if dead is not None:
+                    np.copyto(ys, -sign * np.inf, where=dead)
+                j = ys.argmax() if sign > 0 else ys.argmin()
+                if sign * ys[j] > peak[r, s]:
+                    peak[r, s], at[r, s] = sign * ys[j], lo + j
     k, s = np.nonzero(peak > -np.inf)
     i = at[k, s]
     best = _golden_refine(kind, ms[k], signs[s],
@@ -304,22 +302,20 @@ def _diag_entries_rows(kind, rows, sin=None, cos=None):
     """Diagonal Jacobian entries of (n, d) rows, flat in row order;
     returns (entries, skipped_rows).
 
-    Rows hitting a guard (a pole, a near-zero or non-finite denominator)
-    are dropped whole.  sin and cos, if given, must be np.sin(rows) and
-    np.cos(rows); the pole test and the kernel then use them in place of
-    their own.  Nothing is copied for a guard that no row hits.
+    Every row is scored through the pole, without a numpy warning; then
+    one mask drops the rows hitting a guard (a pole, a near-zero or
+    non-finite denominator) whole.  sin and cos, if given, must be
+    np.sin(rows) and np.cos(rows), used in place of the kernel's own.
+    Nothing is copied for a guard that no row hits.
     """
     pole = pole_mask(kind, rows, sin).any(axis=-1)
-    if pole.any():
-        keep = ~pole
-        rows, sin, cos = (None if a is None else a[keep]
-                          for a in (rows, sin, cos))
     terms = ScoreRows(kind, rows, through_pole=True, sin=sin, cos=cos)
-    diag = terms.diag()
-    if len(rows) and denoms_all_ok(terms.denom):
-        return diag.ravel(), len(pole) - len(rows)
-    live = denom_ok(terms.denom).all(axis=-1)
-    return diag[live].ravel(), len(pole) - int(live.sum())
+    with np.errstate(all="ignore"):
+        diag = terms.diag()
+    if len(rows) and not pole.any() and denoms_all_ok(terms.denom):
+        return diag.ravel(), 0
+    keep = ~pole & denom_ok(terms.denom).all(axis=-1)
+    return diag[keep].ravel(), len(rows) - int(keep.sum())
 
 
 @functools.lru_cache(maxsize=1)
@@ -352,16 +348,17 @@ def saturation_fraction(kind, dim, trials, input_scale, epsilon, seed):
                             skipped_rows=skipped)
 
 
-def _curve_xs(x_min, x_max, steps):
+def _curve_xs(m, x_min, x_max, steps):
     """The x values of a curve, after checking its arguments."""
-    if steps < 2 or not -math.inf < x_min < x_max < math.inf:
-        raise ValueError("need steps >= 2 and finite x_min < x_max")
+    if not (steps >= 2 and math.isfinite(m)
+            and -math.inf < x_min < x_max < math.inf):
+        raise ValueError("need steps >= 2, finite m and finite x_min < x_max")
     return np.linspace(x_min, x_max, steps)
 
 
 def gradient_curve(kind, m, x_min, x_max, steps):
     """Fixed-M diagonal-gradient curve; guard points become NaN gaps."""
-    xs = _curve_xs(x_min, x_max, steps)
+    xs = _curve_xs(m, x_min, x_max, steps)
     ys = diag_gradient_fixed_m(kind, m, xs)
     return CurveSeries(x_values=xs, y_values=ys,
                        label=f"{kind.tag} diagonal gradient",
@@ -373,7 +370,7 @@ def prenorm_gradient_curve(kind, m, x_min, x_max, steps, d, var):
     mean 0 and the given variance and row dimension."""
     if d < 2 or not 0 < var < math.inf:
         raise ValueError("need d >= 2 and 0 < var < inf")
-    xs = _curve_xs(x_min, x_max, steps)
+    xs = _curve_xs(m, x_min, x_max, steps)
     sigma = math.sqrt(var)
     ys = diag_gradient_fixed_m(kind, m, xs / sigma) * (d - 1) / (d * sigma)
     return CurveSeries(x_values=xs, y_values=ys,

@@ -255,8 +255,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.fn_impl(args)
-    except (OSError, ValueError, ScoreError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, ValueError, ScoreError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         code = 2
     raise SystemExit(code)
 

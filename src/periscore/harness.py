@@ -24,8 +24,6 @@ from .scorefn import seeded_rng
 GRAD_RUNAWAY_NORM = 1e6
 GRAD_RUNAWAY_STEPS = 10
 
-CIFAR_RECORD_BYTES = 3074  # coarse byte + fine byte + 3*32*32 pixels
-
 TAP_BINS = 40
 TAP_RANGE = (-10.0, 10.0)
 
@@ -55,6 +53,10 @@ class Cifar100Spec:
     def __post_init__(self):
         if self.subset_size < 1:
             raise ValueError("subset_size must be >= 1")
+
+
+# Two label bytes (coarse, fine), then the pixels.
+CIFAR_RECORD_BYTES = 2 + math.prod(Cifar100Spec.input_shape)
 
 
 @dataclass

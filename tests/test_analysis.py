@@ -151,12 +151,11 @@ def test_extremum_search_is_bitwise_the_reference(kind):
             assert curve.params["skipped_m"] == int(np.isnan(want).sum())
 
 
-@pytest.mark.parametrize("name, block", [
-    ("BLOCK_ELEMENTS", 1), ("BLOCK_ELEMENTS", 37), ("BOUND_WIDTH", 1),
-    ("BOUND_WIDTH", 37), ("BOUND_WIDTH", 1 << 20)],
-    ids=["1", "37", "bound-1", "bound-37", "bound-wider-than-the-grid"])
+@pytest.mark.parametrize("block", [1, 37, 1 << 20],
+                         ids=["bound-1", "bound-37",
+                              "bound-wider-than-the-grid"])
 def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
-                                                           name, block):
+                                                           block):
     # A coarse grid keeps the one-column blocks affordable.  The brackets
     # handed to the refinement pin down which grid point each search
     # kept, also where tied grid values give the same final value.
@@ -178,7 +177,7 @@ def test_extremum_search_does_not_depend_on_the_block_size(monkeypatch,
         return ys, list(brackets)
 
     want = run()
-    monkeypatch.setattr(analysis, name, block)
+    monkeypatch.setattr(analysis, "BOUND_WIDTH", block)
     got = run()
     for a, b in zip(got[0], want[0], strict=True):
         assert np.array_equal(a, b, equal_nan=True)
@@ -459,14 +458,28 @@ def test_saturation_of_rows_that_all_hit_a_pole_is_empty():
     assert entries.size == 0 and skipped == 3
 
 
+def test_saturation_drops_pole_rows_after_scoring_every_row():
+    # Every fifth row holds a pole point; the others' entries are bitwise
+    # those of the pole-free rows scored alone.
+    rows = seeded_rng(3).normal(0.0, 2.0, size=(40, 16))
+    rows[::5, 7] = math.pi / 2
+    pole = np.zeros(40, dtype=bool)
+    pole[::5] = True
+    entries, skipped = _diag_entries_rows(SIREN_MAX, rows)
+    alone, none = _diag_entries_rows(SIREN_MAX, rows[~pole])
+    assert skipped == pole.sum() == 8 and none == 0
+    assert entries.tobytes() == alone.tobytes()
+    assert entries.size == 32 * 16
+
+
 def test_saturation_drops_rows_whose_denominator_overflows():
     # At input scale 300 the softmax row sum overflows in many rows, which
     # makes those rows' denominators inf or NaN, or so large that their
-    # square overflows.
+    # square overflows.  No numpy warning escapes saturation_fraction.
     rows = seeded_rng(7).normal(0.0, 300.0, size=(200, 64))
+    rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
+                              input_scale=300.0, epsilon=1e-4, seed=7)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
-                                  input_scale=300.0, epsilon=1e-4, seed=7)
         overflow = int((~(np.exp(rows).sum(axis=1) < DEN_MAX)).sum())
     assert overflow > 0
     assert rep.skipped_rows == overflow
@@ -475,13 +488,14 @@ def test_saturation_drops_rows_whose_denominator_overflows():
 
 def test_saturation_drops_rows_whose_denominator_square_overflows():
     # At input scale 140 no row sum overflows, but 65 reach DEN_MAX, where
-    # denom ** 2 in the gradient would be inf and the entries NaN.
+    # denom ** 2 in the gradient would be inf and the entries NaN.  No
+    # numpy warning escapes either call.
     rows = seeded_rng(7).normal(0.0, 140.0, size=(200, 64))
+    rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
+                              input_scale=140.0, epsilon=1e-4, seed=7)
+    entries, skipped = _diag_entries_rows(SOFTMAX, rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = saturation_fraction(SOFTMAX, dim=64, trials=200,
-                                  input_scale=140.0, epsilon=1e-4, seed=7)
         sums = np.exp(rows).sum(axis=1)
-        entries, skipped = _diag_entries_rows(SOFTMAX, rows)
     assert np.all(np.isfinite(sums))
     assert rep.skipped_rows == skipped == int((sums >= DEN_MAX).sum()) == 65
     assert rep.sample_count == entries.size == 8640
@@ -526,11 +540,10 @@ def test_saturation_memo_is_bitwise_a_fresh_draw(seed):
     for scale in (0.01, 8.0, 140.0, 300.0):
         rows = seeded_rng(seed).normal(0.0, scale, size=(200, 64))
         for kind in ALL_KINDS:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rep = saturation_fraction(kind, dim=64, trials=200,
-                                          input_scale=scale, epsilon=1e-4,
-                                          seed=seed)
-                entries, skipped = _diag_entries_rows(kind, rows)
+            rep = saturation_fraction(kind, dim=64, trials=200,
+                                      input_scale=scale, epsilon=1e-4,
+                                      seed=seed)
+            entries, skipped = _diag_entries_rows(kind, rows)
             frac = (float(np.mean(np.abs(entries) < 1e-4)) if entries.size
                     else 0.0)
             assert (rep.fraction_saturated, rep.sample_count,
@@ -696,16 +709,17 @@ def test_off_sum_whose_square_overflows_is_a_silent_guard_point():
 @pytest.mark.parametrize("args", [
     dict(steps=1), dict(steps=0), dict(x_min=1.0), dict(x_min=math.nan),
     dict(x_min=-math.inf), dict(x_max=math.inf),
+    dict(m=math.nan), dict(m=math.inf), dict(m=-math.inf),
     dict(d=1), dict(d=0), dict(var=0.0), dict(var=-1.0), dict(var=math.nan),
     dict(var=math.inf),
 ], ids=lambda a: "-".join(f"{k}={v}" for k, v in a.items()))
 def test_gradient_curves_validate_arguments(args):
-    full = dict(x_min=-1.0, x_max=1.0, steps=11, d=16, var=1.0) | args
+    full = dict(m=1.0, x_min=-1.0, x_max=1.0, steps=11, d=16, var=1.0) | args
     with pytest.raises(ValueError):
-        prenorm_gradient_curve(SOFTMAX, 1.0, **full)
-    if {"steps", "x_min", "x_max"} >= args.keys():
+        prenorm_gradient_curve(SOFTMAX, **full)
+    if {"m", "steps", "x_min", "x_max"} >= args.keys():
         with pytest.raises(ValueError):
-            gradient_curve(SOFTMAX, 1.0, full["x_min"], full["x_max"],
+            gradient_curve(SOFTMAX, full["m"], full["x_min"], full["x_max"],
                            full["steps"])
 
 

@@ -103,6 +103,20 @@ def test_curves_prenorm_bad_argument_exits_1(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("prenorm", [[], ["--prenorm"]],
+                         ids=["plain", "prenorm"])
+def test_curves_non_finite_m_exits_1(tmp_path, capsys, m, prenorm):
+    out = tmp_path / "c.csv"
+    code = _run(["curves", "--fn", "softmax", f"--m={m}", "--x-min", "-1",
+                 "--x-max", "1", "--out", str(out)] + prenorm)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: need ")
+    assert not out.exists()
+    assert not (tmp_path / "c.csv.meta.json").exists()
+
+
 def test_curves_bad_kind_parameter_exits_1(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert _run(["curves", "--fn", "sm-softmax", "--margin", "-1",
@@ -191,6 +205,19 @@ def test_gradcheck_nan_error_fails(monkeypatch, capsys):
     assert _run(["gradcheck", "--fn", "softmax", "--trials", "3"]) == 2
     out = capsys.readouterr().out
     assert "max rel err nan" in out and "FAIL" in out and "PASS" not in out
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 671. GiB", "error: Unable to allocate 671. GiB"),
+    ("", "error: MemoryError")], ids=["numpy", "bare"])
+def test_gradcheck_out_of_memory_exits_2(monkeypatch, capsys, message, line):
+    def refuse(kind, x):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(scorefn, "jacobian", refuse)
+    assert _run(["gradcheck", "--fn", "softmax", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [line] and "PASS" not in out
 
 
 @pytest.mark.parametrize("fn, seed, dim, skipped", [
