@@ -143,10 +143,15 @@ def _parse_dataset(text):
     if text == "synthetic":
         return harness.SyntheticSpec()
     if text.startswith("cifar100:"):
-        parts = text.split(":")
-        if len(parts) != 3:
+        # The path runs to the last colon; a POSIX path may hold colons.
+        path, sep, subset = text[len("cifar100:"):].rpartition(":")
+        if not sep:
             raise ValueError("expected cifar100:<path>:<subset>")
-        return harness.Cifar100Spec(path=parts[1], subset_size=int(parts[2]))
+        try:
+            size = int(subset)
+        except ValueError:
+            raise ValueError(f"subset {subset!r} is not an integer") from None
+        return harness.Cifar100Spec(path=path, subset_size=size)
     raise ValueError(f"unknown dataset {text!r}")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,10 +31,22 @@ TAP_RANGE = (-10.0, 10.0)
 
 @dataclass
 class Dataset:
-    images: np.ndarray   # (N, H, W, C), float64 in [0, 1]-ish range
+    # (N, H, W, C): CIFAR's raw uint8 bytes 0-255, or synthetic float64
+    # N(0, 1) templates plus noise.  `batch` is the only read training makes.
+    pixels: np.ndarray
     labels: np.ndarray   # (N,) integer class ids
     train_idx: np.ndarray
     eval_idx: np.ndarray
+
+    def batch(self, sel):
+        """The float64 images at sel; uint8 pixels are scaled to [0, 1]."""
+        x = self.pixels[sel]
+        return x.astype(np.float64) / 255.0 if x.dtype == np.uint8 else x
+
+    @property
+    def images(self):
+        """Every image as `batch` gives it, for inspection."""
+        return self.batch(slice(None))
 
 
 @dataclass
@@ -140,7 +153,7 @@ def make_synthetic(num_classes, samples_per_class, noise_sd, seed):
     labels = np.arange(n) // samples_per_class
     images = templates[labels] + rng.normal(0.0, noise_sd, size=(n, *shape))
     train_idx, eval_idx = _split_indices(n)
-    return Dataset(images=images, labels=labels,
+    return Dataset(pixels=images, labels=labels,
                    train_idx=train_idx, eval_idx=eval_idx)
 
 
@@ -149,34 +162,31 @@ class CifarFormatError(ValueError):
 
 
 def load_cifar100(path, subset_size):
-    """Parse CIFAR-100 binary records (coarse byte, fine byte, CHW pixels).
-
-    Pixels are scaled to [0, 1] and reshaped to HWC; the first
-    subset_size (>= 1) records are taken in file order, and a file holding
-    fewer raises CifarFormatError.
-    """
+    """Parse the first subset_size (>= 1) CIFAR-100 binary records (coarse
+    byte, fine byte, CHW pixels), reading no further, into an HWC uint8
+    array of their own; a file holding fewer raises CifarFormatError."""
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(subset_size * CIFAR_RECORD_BYTES)
+    if size == 0 or size % CIFAR_RECORD_BYTES != 0:
         raise CifarFormatError(
-            f"file length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    if subset_size > len(records):
+            f"file length {size} is not a multiple of {CIFAR_RECORD_BYTES}")
+    have = len(raw) // CIFAR_RECORD_BYTES  # below subset_size on a short read
+    if have < subset_size:
         raise CifarFormatError(f"subset_size {subset_size} exceeds the "
-                               f"{len(records)} records in the file")
-    records = records[:subset_size]
+                               f"{have} records in the file")
+    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     fine, top = records[:, 1].astype(np.int64), Cifar100Spec.num_classes
     if np.any(fine >= top):
         bad = int(np.argmax(fine >= top))
         raise CifarFormatError(
             f"fine label {fine[bad]} >= {top} in record {bad}")
     h, w, c = Cifar100Spec.input_shape
-    pixels = records[:, 2:].reshape(-1, c, h, w).transpose(0, 2, 3, 1)
-    images = pixels.astype(np.float64) / 255.0
+    pixels = records[:, 2:].reshape(-1, c, h, w).transpose(0, 2, 3, 1).copy()
     train_idx, eval_idx = _split_indices(len(records))
-    return Dataset(images=images, labels=fine,
+    return Dataset(pixels=pixels, labels=fine,
                    train_idx=train_idx, eval_idx=eval_idx)
 
 
@@ -258,7 +268,7 @@ def _eval_accuracy(model, data, idx, batch):
     with no_grad():
         for start in range(0, idx.size, batch):
             sel = idx[start:start + batch]
-            logits = model.forward(data.images[sel]).data
+            logits = model.forward(data.batch(sel)).data
             correct += int((logits.argmax(axis=1) == data.labels[sel]).sum())
     return correct / idx.size if idx.size else float("nan")
 
@@ -310,7 +320,7 @@ def train(cfg):
     if data.train_idx.size < cfg.batch_size:
         raise ValueError(f"{data.train_idx.size} training images cannot "
                          f"fill a batch of {cfg.batch_size}")
-    demo, shape, top = cfg.demo, data.images.shape[1:], data.labels.max()
+    demo, shape, top = cfg.demo, data.pixels.shape[1:], data.labels.max()
     if shape != demo.input_shape or top >= demo.num_classes:
         raise ValueError(f"images of shape {shape} with labels up to {top} "
                          f"do not fit a demo of input_shape {demo.input_shape}"
@@ -330,7 +340,7 @@ def train(cfg):
                 model.tap = (partial(_bin_tap, log.taps, step) if tapping
                              else None)
                 model.zero_grad()
-                logits = model.forward(data.images[sel], step=step)
+                logits = model.forward(data.batch(sel), step=step)
                 loss = cross_entropy(logits, data.labels[sel])
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):

@@ -424,6 +424,36 @@ def test_train_malformed_cifar_dataset_string_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _cifar_file(path, n):
+    recs = scorefn.seeded_rng(0).integers(
+        0, 256, size=(n, harness.CIFAR_RECORD_BYTES), dtype=np.uint8)
+    recs[:, 1] %= 100
+    path.write_bytes(recs.tobytes())
+
+
+def test_train_cifar_path_may_hold_colons(tmp_path):
+    # The path runs from the first colon to the last one.
+    (tmp_path / "a:b").mkdir()
+    data = tmp_path / "a:b" / "train.bin"
+    _cifar_file(data, 20)
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax", "--steps", "1",
+                 "--dataset", f"cifar100:{data}:20", "--out", str(out)]) == 0
+    assert [r.step for r in harness.read_run_log(out).records] == [1]
+
+
+def test_train_non_integer_cifar_subset_exits_1(tmp_path, capsys):
+    data = tmp_path / "train.bin"
+    _cifar_file(data, 20)
+    out = tmp_path / "run.jsonl"
+    assert _run(["train", "--score", "softmax",
+                 "--dataset", f"cifar100:{data}:abc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'abc'" in err[0] and "invalid literal" not in err[0]
+    assert not out.exists()
+
+
 def test_taps_pipeline(tmp_path):
     run = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "sin-softmax", "--steps", "4",

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 
 from periscore import harness
 from periscore.autodiff import Tensor, no_grad, parameter
+from periscore.cli import default_demo_config
 from periscore.harness import (
     TAP_BINS,
     Adam,
@@ -148,6 +150,82 @@ def test_build_dataset_dispatch(tmp_path):
     assert build_dataset(spec, seed=0).images.shape == (2, 32, 32, 3)
 
 
+def test_cifar_pixels_are_uint8_records_of_their_own(tmp_path):
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 6)
+    pixels = load_cifar100(str(path), subset_size=5).pixels
+    assert pixels.dtype == np.uint8 and pixels.shape == (5, 32, 32, 3)
+    assert pixels.flags.c_contiguous and pixels.base is None
+
+
+def test_batch_scales_uint8_pixels_and_gathers_float_ones(tmp_path):
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 10)
+    sel = np.array([7, 0, 3, 3, 9])
+    cifar = load_cifar100(str(path), subset_size=10)
+    want = cifar.pixels[sel].astype(np.float64) / 255.0
+    assert cifar.batch(sel).tobytes() == want.tobytes()
+    synth = make_synthetic(3, 4, 0.1, seed=0)
+    assert synth.batch(sel).tobytes() == synth.pixels[sel].tobytes()
+    for data in (cifar, synth):
+        every = data.batch(np.arange(data.labels.size))
+        assert data.images.dtype == np.float64
+        assert data.images.tobytes() == every.tobytes()
+
+
+def _cifar_config(path, subset_size, steps):
+    demo = default_demo_config(SIN_SOFTMAX, 1, Cifar100Spec.input_shape,
+                               False, "inv_dmodel", Cifar100Spec.num_classes)
+    return TrainConfig(demo=demo, dataset=Cifar100Spec(str(path), subset_size),
+                       steps=steps, seed=0)
+
+
+def test_cifar_training_bits_match_a_float64_store(tmp_path, monkeypatch):
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 40)
+    cfg = _cifar_config(path, 40, steps=3)
+    want = train(cfg)
+    load = harness.build_dataset
+
+    def float64_store(spec, seed):
+        # The whole store scaled up front, as the loader once did.
+        data = load(spec, seed)
+        assert data.pixels.dtype == np.uint8
+        return replace(data, pixels=data.pixels.astype(np.float64) / 255.0)
+
+    monkeypatch.setattr(harness, "build_dataset", float64_store)
+    got = train(cfg)
+    assert want.breakdown is None and got.breakdown is None
+    assert len(got.records) == 3 and got.records == want.records
+    assert got.final_eval_accuracy == want.final_eval_accuracy
+
+
+def _traced(fn, *args):
+    """fn(*args), and the peak MiB of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cifar_training_holds_no_float64_copy_of_the_pixels(tmp_path):
+    # 512 records as float64 are 12 MiB; with them the call peaks at about
+    # 37 MiB of numpy memory, without them at about 27.
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 512)
+    log, peak = _traced(train, _cifar_config(path, 512, steps=2))
+    assert len(log.records) == 2 and peak < 32
+
+
+def test_cifar_loader_reads_only_the_records_kept(tmp_path):
+    path = tmp_path / "train.bin"
+    _write_cifar(path, 2000)
+    data, peak = _traced(load_cifar100, str(path), 8)
+    assert data.pixels.nbytes == 8 * 3072 and data.pixels.base is None
+    assert peak < 1.0  # the whole file is 5.9 MiB
+
+
 # -- optimizers --------------------------------------------------------
 
 
@@ -209,7 +287,7 @@ def test_eval_accuracy_restores_tracking():
     assert 0.0 <= acc <= 1.0
     assert _tracking_on()
 
-    bad = Dataset(images=np.full((4, 8, 8, 1), np.nan),
+    bad = Dataset(pixels=np.full((4, 8, 8, 1), np.nan),
                   labels=np.zeros(4, dtype=np.int64),
                   train_idx=np.arange(2), eval_idx=np.arange(2, 4))
     with pytest.raises(BreakdownSignal):
