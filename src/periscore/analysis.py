@@ -266,16 +266,14 @@ def cosmax_extremum_interval(m):
 def sin2max_extremum_location(m):
     """x in (0, pi/2) maximizing the Sin2-max diagonal gradient at off-sum M.
 
-    Solves cos(2x) = -(2M+1 - sqrt(8 + (2M+1)^2)) / 2 (the branch whose
-    argument stays in [-1, 1]).
+    Solves cos(2x) = (sqrt(8 + t^2) - t)/2 with t = 2M+1, written as
+    4/(t + sqrt(8 + t^2)), which does not cancel as M grows and lies in
+    (0, 1] for every M > 0.
     """
-    if m <= 0:
-        raise ValueError("M must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("M must be positive and finite")
     t = 2.0 * m + 1.0
-    arg = -0.5 * (t - math.sqrt(8.0 + t * t))
-    if not -1.0 <= arg <= 1.0:
-        raise ValueError(f"arccos argument {arg} outside [-1, 1]")
-    return 0.5 * math.acos(arg)
+    return 0.5 * math.acos(4.0 / (t + math.sqrt(8.0 + t * t)))
 
 
 def filter_gain(m, f_x):

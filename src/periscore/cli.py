@@ -87,8 +87,10 @@ def _rel_errors(kind, xs):
 
 
 def cmd_gradcheck(args):
-    if args.dim < 2 or args.trials < 1 or not args.tol >= 0:
-        return _invalid("need --dim >= 2, --trials >= 1 and --tol >= 0")
+    if (args.dim < 2 or args.trials < 1 or not args.tol >= 0
+            or not 0 <= args.seed < 2 ** 128):
+        return _invalid("need --dim >= 2, --trials >= 1, --tol >= 0 and "
+                        "--seed in 0 .. 2**128 - 1")
     names = KIND_NAMES if args.fn == "all" else [args.fn]
     try:
         kinds = [_kind_from_flags(name, args) for name in names]
@@ -260,7 +262,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.fn_impl(args)
-    except (OSError, ValueError, ScoreError, MemoryError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         code = 2
     raise SystemExit(code)

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from periscore import analysis
+from periscore import analysis, harness
 from periscore.analysis import (
     BLOCK_ELEMENTS,
     GRID_RANGE,
     GRID_STEP,
     CurveSeries,
+    ExtremumInterval,
     _diag_entries_rows,
     cosmax_extremum_interval,
     diag_gradient_fixed_m,
@@ -49,6 +50,7 @@ from periscore.scorefn import (
     f_and_fp,
     pole_mask,
     seeded_rng,
+    whiten_rows,
 )
 
 import score_reference
@@ -376,8 +378,36 @@ def test_sin2max_extremum_location_is_a_maximizer():
     probe = xstar + np.array([-1e-3, 0.0, 1e-3])
     ys = diag_gradient_fixed_m(SIN2_MAX, m, probe)
     assert ys[1] >= ys[0] and ys[1] >= ys[2]
-    with pytest.raises(ValueError):
-        sin2max_extremum_location(-1.0)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sin2max_extremum_location(bad)
+
+
+def test_sin2max_extremum_location_does_not_cancel_at_large_m():
+    # cos(2x) = 4/(t + sqrt(8 + t^2)) with t = 2M+1, so x = pi/4 - 1/t
+    # up to O(1/t^3).  The cancelling form -(t - sqrt(8 + t^2))/2 was
+    # about 2e-9 off at M = 1e8.
+    x = sin2max_extremum_location(1e8)
+    assert abs(x - (math.pi / 4 - 1 / (2.0 * 1e8 + 1.0))) <= 4.4e-16
+    assert sin2max_extremum_location(1e308) == math.pi / 4
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: cosmax_extremum_interval(math.nan), ValueError),
+    (lambda: cosmax_extremum_interval(math.inf), ValueError),
+    (lambda: cosmax_extremum_interval(0.0), ExtremumInterval(0.0, 0.0, 0.0)),
+    (lambda: sinmax_constant_expected_score(1, 0.3), ValueError),
+    (lambda: sinmax_constant_expected_gradient(1, 0.3), ValueError),
+    (lambda: extremum_vs_m_curve(SOFTMAX, []), ValueError),
+    (lambda: harness.build_dataset(object(), seed=0), TypeError),
+], ids=["cosmax-nan", "cosmax-inf", "cosmax-zero", "expected-score-d1",
+        "expected-gradient-d1", "extremum-no-m", "unknown-dataset-spec"])
+def test_edge_arguments(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_filter_gain_peaks_where_f_matches_m():
@@ -532,6 +562,30 @@ def test_softmax_saturation_follows_row_shape_at_matched_scale(seed):
     for shape in UNIT_VARIANCE_DRAWS:
         assert frac[SIN_SOFTMAX, shape] < 0.02
         assert frac[SIN2_MAX_SHIFTED, shape] < 0.02
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prenorm_leaves_row_shape_driving_softmax_saturation(seed):
+    # Prenorm pins the scale, not the shape.  64000 // d rows of width d,
+    # whitened, the fraction of diagonal entries below 1e-4.  Seeds 0-3
+    # read, at d = 256, softmax on t(3) rows 71-129x its normal-row
+    # figure and 4.1-6.8x sin-softmax, 6.8-10.2x sin2-max-shifted on
+    # t(3) rows; at d = 64 on normal rows, softmax 0.0000 against at
+    # least 0.0057 and 0.0018 for the periodic kinds.
+    frac = {}
+    for d in (64, 256):
+        for shape in ("normal", "t3"):
+            rows, _ = whiten_rows(
+                UNIT_VARIANCE_DRAWS[shape](seeded_rng(seed), (64000 // d, d)))
+            for kind in (SOFTMAX, SIN_SOFTMAX, SIN2_MAX_SHIFTED):
+                entries, _ = _diag_entries_rows(kind, rows)
+                frac[d, shape, kind] = float(np.mean(np.abs(entries) < 1e-4))
+    t3 = frac[256, "t3", SOFTMAX]
+    assert t3 >= 20 * frac[256, "normal", SOFTMAX]
+    assert t3 >= 2 * frac[256, "t3", SIN_SOFTMAX]
+    assert t3 >= 2 * frac[256, "t3", SIN2_MAX_SHIFTED]
+    for kind in (SIN_SOFTMAX, SIN2_MAX_SHIFTED):
+        assert frac[64, "normal", SOFTMAX] < 0.5 * frac[64, "normal", kind]
 
 
 @pytest.mark.parametrize("seed", [7, 11])

@@ -163,6 +163,19 @@ def test_gradcheck_nan_or_negative_tolerance_exits_1(capsys, tol):
     assert len(err) == 1 and err[0].startswith("error: need ")
 
 
+@pytest.mark.parametrize("seed, code", [
+    (-1, 1), (2 ** 128, 1), (2 ** 128 - 1, 0)], ids=["-1", "2**128", "max"])
+def test_gradcheck_seed_must_be_a_philox_key(capsys, seed, code):
+    assert _run(["gradcheck", "--fn", "softmax", "--trials", "2",
+                 "--seed", str(seed)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need ")
+        assert "--seed" in err[0]
+
+
 @pytest.mark.parametrize("fn", ["sm-softmax", "all"])
 def test_gradcheck_bad_margin_exits_1(capsys, fn):
     # Every kind is built before the first is checked, so nothing prints.
@@ -399,7 +412,9 @@ def test_train_cifar_subset_smaller_than_a_batch_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--tap-every", "-1"], ["--steps", "0"], ["--depth", "0"]], ids=" ".join)
+    ["--tap-every", "-1"], ["--steps", "0"], ["--depth", "0"],
+    # Philox keys stop below 2**128, and train also seeds seed + 1.
+    ["--seed", "-1"], ["--seed", str(2 ** 128 - 1)]], ids=" ".join)
 def test_train_bad_argument_exits_1(tmp_path, capsys, flags):
     out = tmp_path / "run.jsonl"
     assert _run(["train", "--score", "softmax", "--out", str(out)]
