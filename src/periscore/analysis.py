@@ -33,9 +33,11 @@ from .scorefn import jacobian, scores  # noqa: F401
 GRID_STEP = 1e-4
 GRID_RANGE = (-2.0 * math.pi, 2.0 * math.pi)
 
-# submersion_curve and the gradcheck command score at most this many
-# elements per kernel call, so their temporaries stay near 128 KiB
-# whatever the row width.
+# submersion_curve and the gradcheck command score blocks of at most this
+# many elements per kernel call, so their temporaries stay near 128 KiB.
+# A block is at least one row of d elements in submersion_curve and one
+# trial of 2 * dim**2 elements in gradcheck, so a single gradcheck trial
+# exceeds the bound once dim >= 91.
 BLOCK_ELEMENTS = 16384
 # The extremum grid pass bounds each block of this many grid points and
 # scores only the blocks whose bound can reach a known grid value.

@@ -13,9 +13,7 @@ node's closure as it reaches the node, so the activations the closures
 hold are freed during the pass, and the graph is gone when backward()
 returns even while the caller still holds the loss and the logits.  So
 a training step does not hold the previous step's graph through its own
-forward pass: a `train-seq64` training call (seed 0) peaks at 25.8 MiB
-of numpy memory under tracemalloc; holding that graph added 13.2 MiB
-(50.5 against 37.3 MiB, measured with float64 pixels).
+forward pass.
 A second backward() through a released node, from the same root or from
 a new graph built on a released intermediate, raises RuntimeError.
 """

@@ -101,9 +101,10 @@ def cmd_gradcheck(args):
     step = max(1, analysis.BLOCK_ELEMENTS // (2 * args.dim ** 2))
     all_pass = True
     for name, kind in zip(names, kinds):
-        xs = rng.normal(0.0, 1.0, size=(args.trials, args.dim))
-        errs = np.concatenate([_rel_errors(kind, xs[i:i + step])
-                               for i in range(0, args.trials, step)])
+        errs = np.concatenate([
+            _rel_errors(kind, rng.normal(
+                0.0, 1.0, size=(min(step, args.trials - i), args.dim)))
+            for i in range(0, args.trials, step)])
         skipped = args.trials - errs.size
         # np.max, unlike max(), lets a NaN error through to FAIL.
         worst = float(np.max(errs, initial=0.0))

@@ -213,9 +213,7 @@ class Adam:
     every parameter in place.  `flat` and the moments `m` and `v` are the
     only arrays kept; a step gathers the gradients into one temporary,
     with zeros where `p.grad` is None.  Each element follows the
-    per-parameter rule's expressions, so results are bitwise equal.  A
-    seed-0 `train-seq64` call peaks at 25.8 MiB under tracemalloc, and
-    `train-d4` at 50.6 MB resident (BENCH_31.json).
+    per-parameter rule's expressions, so results are bitwise equal.
     """
 
     def __init__(self, params, spec):
@@ -320,15 +318,15 @@ def train(cfg):
                 tapping = cfg.tap_every > 0 and step % cfg.tap_every == 0
                 model.tap = (partial(_bin_tap, log.taps, step) if tapping
                              else None)
-                model.zero_grad()
+                for p in opt.params:
+                    p.grad = None
                 logits = model.forward(data.batch(sel), step=step)
                 loss = cross_entropy(logits, data.labels[sel])
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise _Halt("NonFiniteLoss")
                 loss.backward()
-                grads = [p.grad for p in model.parameters()
-                         if p.grad is not None]
+                grads = [p.grad for p in opt.params if p.grad is not None]
                 grad_norm = _grad_norm(grads)
                 if not math.isfinite(grad_norm):
                     raise _Halt("NonFiniteGrad")

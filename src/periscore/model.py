@@ -212,10 +212,6 @@ class DemoModel:
         params.extend([self.w_head, self.b_head])
         return params
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def patchify(self, images):
         """(B, H, W, C) -> (B, n_tokens, patch_dim), non-overlapping patches."""
         images = np.asarray(images, dtype=np.float64)

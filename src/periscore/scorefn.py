@@ -262,11 +262,10 @@ class ScoreRows:
         with np.errstate(over="ignore", invalid="ignore"):
             self.num, self._fp = f_and_fp(kind, x, sin, cos)
             if kind.tag in _MARGIN_TAGS:
-                self.off, self._offp = _F_FP[kind.tag](kind, x, None, None)
+                off, self._offp = _F_FP[kind.tag](kind, x, None, None)
             else:
-                self.off, self._offp = self.num, None
-            total = self.off.sum(axis=-1, keepdims=True)
-            self.denom = total - self.off + self.num
+                off, self._offp = self.num, None
+            self.denom = off.sum(axis=-1, keepdims=True) - off + self.num
 
     def scores(self):
         """S_j = num[j] / denom[j]."""
@@ -289,13 +288,6 @@ class ScoreRows:
         return g * nump * (denom - num) / denom2 - offp * (a - gnum)
 
 
-def _row(x, name):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"{name} requires a 1-d input with dim >= 2")
-    return x
-
-
 def _rows(x, name):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] < 2:
@@ -305,9 +297,11 @@ def _rows(x, name):
 
 
 def scores(kind, x):
-    """The scores S_j = num[j] / denom[j] (see ScoreRows) of one row x of
-    shape (d,), as a (d,) array."""
-    return ScoreRows(kind, _row(x, "scores")).scores()
+    """The scores S_j = num[j] / denom[j] (see ScoreRows) of each row of x,
+    one row (d,) or a stack (..., d), in an array of x's shape.  Each row's
+    scores are bitwise those of its 1-d call; a guard failure in any row
+    raises, with a flat index into the stack."""
+    return ScoreRows(kind, _rows(x, "scores")).scores()
 
 
 def jacobian(kind, x):

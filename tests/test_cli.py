@@ -6,6 +6,7 @@ training breakdown is a logged result and still exits 0.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_curves_prenorm_flag(tmp_path):
     want = diag_gradient_fixed_m(SOFTMAX, 1.0,
                                  np.array([float(x) / 2.0]))[0] * 15 / 32
     assert float(y) == pytest.approx(want, rel=1e-12)
+
+
+def test_curves_negative_exponent_value_in_equals_form(tmp_path):
+    # argparse reads a separate "-1e-3" as an option, not a number.
+    out = tmp_path / "c.csv"
+    assert _run(["curves", "--fn", "cos-max", "--x-min=-1e-3",
+                 "--x-max", "1", "--steps", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4 and float(lines[1].split(",")[0]) == -1e-3
 
 
 def test_curves_invalid_range_exits_1(tmp_path):
@@ -253,6 +263,21 @@ def test_gradcheck_siren_max_near_its_pole_passes(capsys):
     assert _run(["gradcheck", "--fn", "siren-max", "--dim", "64",
                  "--seed", "42"]) == 0
     assert capsys.readouterr().out.split()[-1] == "PASS"
+
+
+def test_gradcheck_draws_each_block_as_it_checks_it(capsys):
+    # All 100000 x 8 trial normals at once would take 6.1 MiB; drawn block
+    # by block, the call peaks near 1.7 MiB, per-trial errors included.
+    _run(["gradcheck", "--fn", "softmax", "--trials", "1"])
+    tracemalloc.start()
+    try:
+        assert _run(["gradcheck", "--fn", "softmax", "--trials", "100000",
+                     "--seed", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    assert "PASS" in capsys.readouterr().out
 
 
 # -- analyze -----------------------------------------------------------

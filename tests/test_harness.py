@@ -81,6 +81,24 @@ def test_synthetic_rejects_single_class():
         make_synthetic(1, 10, 0.1, seed=0)
 
 
+def test_desk_model_init_repeats_the_synthetic_template_draw():
+    # make_synthetic and DemoModel.__init__ both start seeded_rng(seed)
+    # with a normal draw, so the desk model's patch-embed weights (sd
+    # 1/sqrt(4)) are the first class templates' pixels halved, and start
+    # correlated with the data.  Separating the two streams moves every
+    # training bit, so that fix waits for gate 9's mechanism criterion
+    # (ROADMAP item 4) and must update this test.
+    cfg = desk_config(SOFTMAX, 1, False, steps=1, seed=7)
+    w = DemoModel(cfg.demo, cfg.seed).w_embed.data.ravel()
+    shape = (cfg.dataset.num_classes, *SyntheticSpec.input_shape)
+    templates = seeded_rng(cfg.seed).normal(0.0, 1.0, size=shape).ravel()
+    assert w.size == 128
+    assert np.array_equal(w, 0.5 * templates[:128])
+    data = build_dataset(cfg.dataset, cfg.seed)
+    class0 = data.pixels[data.labels == 0].mean(axis=0).ravel()
+    assert np.corrcoef(w[:class0.size], class0)[0, 1] > 0.999
+
+
 # -- CIFAR-100 binary loader -------------------------------------------
 
 

@@ -213,7 +213,7 @@ def test_scores_requires_a_row():
     with pytest.raises(ValueError):
         scores(SOFTMAX, np.array([1.0]))
     with pytest.raises(ValueError):
-        scores(SOFTMAX, np.ones((2, 2)))
+        scores(SOFTMAX, np.float64(1.0))
 
 
 def test_margin_kind_with_zero_margin_matches_plain():
@@ -383,17 +383,20 @@ def test_stacked_jacobians_are_bitwise_the_row_calls(kind):
     # For sin-max, 4 of these rows have max|S| > 1, so the stack mixes
     # finite-difference steps.
     xs = seeded_rng(4).normal(size=(8, 6))
-    for fn in (jacobian, finite_diff_jacobian):
-        want = np.stack([fn(kind, x).entries for x in xs])
-        assert np.array_equal(fn(kind, xs).entries, want)
-        assert np.array_equal(fn(kind, xs.reshape(2, 4, 6)).entries,
-                              want.reshape(2, 4, 6, 6))
+    for fn in (scores, jacobian, finite_diff_jacobian):
+        def call(x):
+            out = fn(kind, x)
+            return out if fn is scores else out.entries
+        want = np.stack([call(x) for x in xs])
+        assert np.array_equal(call(xs), want)
+        assert np.array_equal(call(xs.reshape(2, 4, 6)),
+                              want.reshape(2, 4, *want.shape[1:]))
 
 
 def test_stacked_jacobian_guard_names_the_flat_index():
     # sin(0.7) + sin(-0.7) = 0 in the second row.
     xs = np.array([[0.3, 0.5], [0.7, -0.7]])
-    for fn in (jacobian, finite_diff_jacobian):
+    for fn in (scores, jacobian, finite_diff_jacobian):
         with pytest.raises(DenominatorNearZero) as exc:
             fn(SIN_MAX, xs)
         assert exc.value.index == 2
